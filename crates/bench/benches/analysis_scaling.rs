@@ -10,8 +10,8 @@
 //!   should grow roughly linearly in program size;
 //! * `analysis/CxM` — statements fixed, class count swept (members per
 //!   class constant, so `C×M` grows linearly in the class count);
-//! * `analysis/jobs` — the sharded engine swept over worker counts on a
-//!   large generated program (sequential `run` is the 1-worker row);
+//! * `extraction/jobs` — summary extraction, the one sharded analysis
+//!   phase, swept over worker counts on a large generated program;
 //! * `lookup/depth` — member lookup along an inheritance chain, the
 //!   precomputation the paper delegates to Ramalingam & Srinivasan.
 
@@ -19,12 +19,31 @@ use ddm_bench::timing;
 use ddm_benchmarks::generator::{generate, GeneratorConfig};
 use ddm_callgraph::{CallGraph, CallGraphOptions};
 use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
-use ddm_hierarchy::{MemberLookup, Program};
+use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
+use ddm_telemetry::Telemetry;
 
 fn prepared(config: &GeneratorConfig, seed: u64) -> Program {
     let src = generate(config, seed);
     let tu = ddm_cppfront::parse(&src).expect("generated programs parse");
     Program::build(&tu).expect("generated programs check")
+}
+
+/// Times the liveness replay alone: summaries and the call graph are
+/// built once, outside the timed closure.
+fn report_analysis(group: &str, id: &str, program: &Program) {
+    let quiet = Telemetry::disabled();
+    let summary = ProgramSummary::build(program, false, 1);
+    let (graph, _) = CallGraph::build_from_summary_schedule(
+        program,
+        &summary,
+        &CallGraphOptions::default(),
+        &quiet,
+    )
+    .unwrap();
+    timing::report(group, id, 20, || {
+        let analysis = DeadMemberAnalysis::new(program, AnalysisConfig::default());
+        analysis.run_summary_counted(&summary, &graph, &quiet).unwrap()
+    });
 }
 
 fn bench_sweep_n() {
@@ -35,12 +54,7 @@ fn bench_sweep_n() {
             ..Default::default()
         };
         let program = prepared(&config, 11);
-        let lookup = MemberLookup::new(&program);
-        let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-        timing::report("analysis/N", &stmts.to_string(), 20, || {
-            let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-            analysis.run(&graph).unwrap()
-        });
+        report_analysis("analysis/N", &stmts.to_string(), &program);
     }
 }
 
@@ -56,18 +70,13 @@ fn bench_sweep_cxm() {
             ..Default::default()
         };
         let program = prepared(&config, 13);
-        let lookup = MemberLookup::new(&program);
-        let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-        timing::report("analysis/CxM", &classes.to_string(), 20, || {
-            let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-            analysis.run(&graph).unwrap()
-        });
+        report_analysis("analysis/CxM", &classes.to_string(), &program);
     }
 }
 
 fn bench_jobs_sweep() {
-    // A program large enough that sharding the reachable-function scan
-    // pays for the thread spawns.
+    // A program large enough that sharding summary extraction pays for
+    // the thread spawns.
     let config = GeneratorConfig {
         classes: 96,
         members_per_class: 5,
@@ -76,16 +85,9 @@ fn bench_jobs_sweep() {
         objects_in_main: 192,
     };
     let program = prepared(&config, 17);
-    let lookup = MemberLookup::new(&program);
-    let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-    timing::report("analysis/jobs", "seq", 10, || {
-        let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-        analysis.run(&graph).unwrap()
-    });
     for jobs in [1usize, 2, 4, 8] {
-        timing::report("analysis/jobs", &jobs.to_string(), 10, || {
-            let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-            analysis.run_jobs(&graph, jobs).unwrap()
+        timing::report("extraction/jobs", &jobs.to_string(), 10, || {
+            ProgramSummary::build(&program, false, jobs)
         });
     }
 }

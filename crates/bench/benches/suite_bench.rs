@@ -4,25 +4,25 @@
 
 use ddm_bench::timing;
 use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
-use ddm_core::{AnalysisConfig, DeadMemberAnalysis, SizeofPolicy};
-use ddm_hierarchy::{MemberLookup, Program};
+use ddm_bench::suite_analysis_config;
+use ddm_core::DeadMemberAnalysis;
+use ddm_hierarchy::{Program, ProgramSummary};
+use ddm_telemetry::Telemetry;
 
 fn bench_suite_analysis() {
     for b in ddm_benchmarks::suite() {
         let tu = ddm_cppfront::parse(b.source).unwrap();
         let program = Program::build(&tu).unwrap();
+        let quiet = Telemetry::disabled();
         timing::report("suite/analysis", b.name, 15, || {
-            let lookup = MemberLookup::new(&program);
-            let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-            let analysis = DeadMemberAnalysis::new(
-                &program,
-                AnalysisConfig {
-                    assume_safe_downcasts: true,
-                    sizeof_policy: SizeofPolicy::Ignore,
-                    ..Default::default()
-                },
-            );
-            analysis.run(&graph).unwrap()
+            let summary = ProgramSummary::build(&program, false, 1);
+            let options = CallGraphOptions::default();
+            let (graph, _) =
+                CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet)
+                    .unwrap();
+            DeadMemberAnalysis::new(&program, suite_analysis_config())
+                .run_summary_counted(&summary, &graph, &quiet)
+                .unwrap()
         });
     }
 }
@@ -31,18 +31,15 @@ fn bench_callgraph_builders() {
     let b = ddm_benchmarks::by_name("deltablue").unwrap();
     let tu = ddm_cppfront::parse(b.source).unwrap();
     let program = Program::build(&tu).unwrap();
+    let summary = ProgramSummary::build(&program, false, 1);
+    let quiet = Telemetry::disabled();
     for algorithm in [Algorithm::Everything, Algorithm::Cha, Algorithm::Rta] {
+        let options = CallGraphOptions {
+            algorithm,
+            ..Default::default()
+        };
         timing::report("suite/callgraph", &algorithm.to_string(), 15, || {
-            let lookup = MemberLookup::new(&program);
-            CallGraph::build(
-                &program,
-                &lookup,
-                &CallGraphOptions {
-                    algorithm,
-                    ..Default::default()
-                },
-            )
-            .unwrap()
+            CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet).unwrap()
         });
     }
 }

@@ -1,9 +1,10 @@
 //! `bench_fuzz` — corpus-scale differential fuzzing driver.
 //!
 //! Sweeps seeded adversarial generator configurations (see
-//! [`ddm_bench::fuzz`]) through the oracle matrix — walk vs summary
-//! engines × jobs {1, 8}, plus (on a configurable fraction of cases)
-//! the persistent cache at cold/warm/1-changed × jobs {1, 8} —
+//! [`ddm_bench::fuzz`]) through the oracle matrix — the sequential walk
+//! reference against the summary engine × jobs {1, 8}, plus (on a
+//! configurable fraction of cases) the persistent cache at
+//! cold/warm/1-changed × jobs {1, 8} —
 //! byte-comparing reports, `--explain` output, and deterministic
 //! counters. Any divergence is shrunk (config bisection, then chunk
 //! delta-debugging) and emitted as self-contained `.cpp` repro files

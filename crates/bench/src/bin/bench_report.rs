@@ -228,7 +228,6 @@ fn normalize(file: &FamilyFile) -> Vec<(String, Value)> {
                     continue;
                 };
                 for key in [
-                    "walk_callgraph_ns",
                     "summary_callgraph_ns",
                     "summary_callgraph_jobs8_ns",
                     "rounds",

@@ -3,11 +3,12 @@
 //! deep virtual hierarchies and long call ladders that force the fixpoint
 //! through dozens of park/release rounds.
 //!
-//! For each size the driver times call-graph construction under both
-//! engines (walk and summary replay) at one worker and at eight, captures
-//! the delta-worklist telemetry (rounds, per-round delta sizes, worklist
-//! pops, readied-site drains), and fits the scaling exponent between
-//! consecutive sizes: `ln(t2/t1) / ln(n2/n1)`. A full-set round sweep is
+//! For each size the driver times summary extraction plus call-graph
+//! replay at one worker and at eight, checks the graph and the
+//! delta-worklist telemetry (rounds, per-round delta sizes, worklist pops,
+//! readied-site drains) against the sequential walk reference once
+//! (untimed), and fits the scaling exponent between consecutive sizes:
+//! `ln(t2/t1) / ln(n2/n1)`. A full-set round sweep is
 //! Θ(rounds × n); the delta worklist pops each function once and the
 //! interned dense hot loops do no per-pop hashing, so the exponent stays
 //! near 1.
@@ -25,7 +26,8 @@
 //! exponent above [`SMOKE_EXPONENT_CEILING`], or an eight-worker run
 //! slower than one worker beyond noise — the CI gates. `--emit PATH`
 //! writes the smallest size's generated source to `PATH` so the CI
-//! trace gate has a program big enough to shard eight ways.
+//! trace gate has a program big enough for summary extraction to shard
+//! eight ways.
 
 use ddm_bench::{effective_jobs, host_meta_json, timing};
 use ddm_benchmarks::generator::{generate_scale, scale_function_count, ScaleConfig};
@@ -34,8 +36,8 @@ use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
 use ddm_telemetry::Telemetry;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for `--smoke` (generation + parse + both engines
-/// at both worker counts, two sizes).
+/// Wall-clock ceiling for `--smoke` (generation + parse + the summary
+/// engine at both worker counts + one reference walk, two sizes).
 const SMOKE_CEILING: Duration = Duration::from_secs(30);
 
 /// `--smoke` fails if any adjacent-size scaling exponent exceeds this.
@@ -54,8 +56,6 @@ struct SizeResult {
     name: &'static str,
     config: ScaleConfig,
     functions: usize,
-    walk_cg: Duration,
-    walk_cg_j8: Duration,
     summary_cg: Duration,
     summary_cg_j8: Duration,
     rounds: u64,
@@ -93,71 +93,47 @@ fn measure(name: &'static str, config: ScaleConfig, samples: usize) -> SizeResul
         ..Default::default()
     };
     let jobs8 = effective_jobs(8);
-    let options_j8 = CallGraphOptions {
-        algorithm: Algorithm::Rta,
-        jobs: jobs8,
-        ..Default::default()
-    };
 
-    let (walk_cg, _) = timing::time(samples, || {
-        let lookup = MemberLookup::new(&program);
-        CallGraph::build(&program, &lookup, &options).unwrap()
-    });
-    let (walk_cg_j8, _) = timing::time(samples, || {
-        let lookup = MemberLookup::new(&program);
-        CallGraph::build(&program, &lookup, &options_j8).unwrap()
-    });
+    let quiet = Telemetry::disabled();
     let (summary_cg, _) = timing::time(samples, || {
         let summary = ProgramSummary::build(&program, false, 1);
-        CallGraph::build_from_summary(&program, &summary, &options).unwrap()
+        CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet).unwrap()
     });
     let (summary_cg_j8, _) = timing::time(samples, || {
         let summary = ProgramSummary::build(&program, false, jobs8);
-        CallGraph::build_from_summary(&program, &summary, &options_j8).unwrap()
+        CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet).unwrap()
     });
 
-    // Deterministic worklist telemetry: capture once per engine and
-    // insist the two engines agree — the delta schedule is shared, so
-    // pops, drains, and per-round delta sizes must be identical. The
-    // eight-worker walk must also produce the identical graph and
-    // counters: parallel rounds only pre-extract, never reschedule.
+    // Deterministic worklist telemetry, checked once against the walk
+    // reference: the delta schedule is shared, so the graph, pops,
+    // drains, and per-round delta sizes must be identical.
     let walk_tel = Telemetry::enabled();
     let lookup = MemberLookup::new(&program);
     let walked = CallGraph::build_with(&program, &lookup, &options, &walk_tel).unwrap();
-    let walk8_tel = Telemetry::enabled();
-    let walked8 = CallGraph::build_with(&program, &lookup, &options_j8, &walk8_tel).unwrap();
-    assert_eq!(walked, walked8, "{name}: jobs=8 walk diverged from jobs=1");
     let summary_tel = Telemetry::enabled();
-    let summary = ProgramSummary::build(&program, false, 1);
-    let replayed =
-        CallGraph::build_from_summary_with(&program, &summary, &options, &summary_tel).unwrap();
-    assert_eq!(walked, replayed, "{name}: engines disagree on the graph");
+    let summary = ProgramSummary::build(&program, false, jobs8);
+    let (replayed, _) =
+        CallGraph::build_from_summary_schedule(&program, &summary, &options, &summary_tel)
+            .unwrap();
+    assert_eq!(walked, replayed, "{name}: summary graph diverged from the walk reference");
     let wc = walk_tel.counters();
-    let w8c = walk8_tel.counters();
     let sc = summary_tel.counters();
     assert_eq!(
         (wc.cg_worklist_pops, wc.cg_ready_drains),
         (sc.cg_worklist_pops, sc.cg_ready_drains),
-        "{name}: worklist counters differ across engines"
+        "{name}: worklist counters diverged from the walk reference"
     );
-    assert_eq!(
-        (wc.cg_worklist_pops, wc.cg_ready_drains),
-        (w8c.cg_worklist_pops, w8c.cg_ready_drains),
-        "{name}: worklist counters differ across worker counts"
-    );
-    let ws = walk_tel.stats();
     let ss = summary_tel.stats();
     assert_eq!(
-        ws.cg_round_deltas, ss.cg_round_deltas,
-        "{name}: per-round delta sizes differ across engines"
+        walk_tel.stats().cg_round_deltas,
+        ss.cg_round_deltas,
+        "{name}: per-round delta sizes diverged from the walk reference"
     );
 
     SizeResult {
         name,
         config,
         functions: program.function_count(),
-        walk_cg,
-        walk_cg_j8,
         summary_cg,
         summary_cg_j8,
         rounds: ss.callgraph_rounds,
@@ -191,9 +167,7 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
             r.name, r.functions, c.chains, c.depth, c.methods_per_class, c.members_per_class, c.rungs
         ));
         out.push_str(&format!(
-            "     \"walk_callgraph_ns\": {}, \"walk_callgraph_jobs8_ns\": {}, \"summary_callgraph_ns\": {}, \"summary_callgraph_jobs8_ns\": {},\n",
-            r.walk_cg.as_nanos(),
-            r.walk_cg_j8.as_nanos(),
+            "     \"summary_callgraph_ns\": {}, \"summary_callgraph_jobs8_ns\": {},\n",
             r.summary_cg.as_nanos(),
             r.summary_cg_j8.as_nanos()
         ));
@@ -209,10 +183,6 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
     if results.len() >= 2 {
         out.push_str(",\n  \"scaling_exponents\": [\n");
         for w in results.windows(2) {
-            let walk = exponent(
-                (w[0].functions, w[0].walk_cg),
-                (w[1].functions, w[1].walk_cg),
-            );
             let summary = exponent(
                 (w[0].functions, w[0].summary_cg),
                 (w[1].functions, w[1].summary_cg),
@@ -222,7 +192,7 @@ fn render_json(results: &[SizeResult], samples: usize) -> String {
                 (w[1].functions, w[1].summary_cg_j8),
             );
             out.push_str(&format!(
-                "    {{\"from\": \"{}\", \"to\": \"{}\", \"walk\": {walk:.3}, \"summary\": {summary:.3}, \"summary_jobs8\": {summary_j8:.3}}}{}",
+                "    {{\"from\": \"{}\", \"to\": \"{}\", \"summary\": {summary:.3}, \"summary_jobs8\": {summary_j8:.3}}}{}",
                 w[0].name,
                 w[1].name,
                 if w[1].name == results.last().unwrap().name { "\n" } else { ",\n" }
@@ -274,17 +244,15 @@ fn main() {
         .collect();
 
     println!(
-        "{:<8} {:>8} {:>8} {:>12} {:>12} {:>12} {:>12} {:>9} {:>9}",
-        "size", "funcs", "rounds", "walk", "walk j8", "summary", "summary j8", "pops", "drains"
+        "{:<8} {:>8} {:>8} {:>12} {:>12} {:>9} {:>9}",
+        "size", "funcs", "rounds", "summary", "summary j8", "pops", "drains"
     );
     for r in &results {
         println!(
-            "{:<8} {:>8} {:>8} {:>12.1?} {:>12.1?} {:>12.1?} {:>12.1?} {:>9} {:>9}",
+            "{:<8} {:>8} {:>8} {:>12.1?} {:>12.1?} {:>9} {:>9}",
             r.name,
             r.functions,
             r.rounds,
-            r.walk_cg,
-            r.walk_cg_j8,
             r.summary_cg,
             r.summary_cg_j8,
             r.worklist_pops,
@@ -293,17 +261,13 @@ fn main() {
     }
     let mut worst_exponent: f64 = 0.0;
     for w in results.windows(2) {
-        let walk = exponent(
-            (w[0].functions, w[0].walk_cg),
-            (w[1].functions, w[1].walk_cg),
-        );
         let summary = exponent(
             (w[0].functions, w[0].summary_cg),
             (w[1].functions, w[1].summary_cg),
         );
-        worst_exponent = worst_exponent.max(walk).max(summary);
+        worst_exponent = worst_exponent.max(summary);
         println!(
-            "exponent {} -> {}: walk {walk:.3}, summary {summary:.3}  (full-sweep baseline ~2)",
+            "exponent {} -> {}: summary {summary:.3}  (full-sweep baseline ~2)",
             w[0].name, w[1].name,
         );
     }
@@ -331,16 +295,12 @@ fn main() {
             "scaling exponent regressed: {worst_exponent:.3} > {SMOKE_EXPONENT_CEILING}"
         );
         for r in &results {
-            for (label, j1, j8) in [
-                ("walk", r.walk_cg, r.walk_cg_j8),
-                ("summary", r.summary_cg, r.summary_cg_j8),
-            ] {
-                assert!(
-                    j8 <= j1.mul_f64(SMOKE_JOBS_TOLERANCE),
-                    "{} {label}: jobs=8 ({j8:.1?}) slower than jobs=1 ({j1:.1?}) beyond {SMOKE_JOBS_TOLERANCE}x",
-                    r.name
-                );
-            }
+            let (j1, j8) = (r.summary_cg, r.summary_cg_j8);
+            assert!(
+                j8 <= j1.mul_f64(SMOKE_JOBS_TOLERANCE),
+                "{} summary: jobs=8 ({j8:.1?}) slower than jobs=1 ({j1:.1?}) beyond {SMOKE_JOBS_TOLERANCE}x",
+                r.name
+            );
         }
         println!(
             "smoke OK in {elapsed:.1?} (ceiling {SMOKE_CEILING:?}, worst exponent {worst_exponent:.3})"

@@ -1,11 +1,9 @@
-//! Engine comparison over the whole benchmark suite: per-program wall
-//! time for call-graph construction and the liveness analysis, for both
-//! engines (walk vs. summary) at 1 and 8 workers.
+//! Per-program wall time over the whole benchmark suite for call-graph
+//! construction and the liveness analysis, at 1 and 8 workers.
 //!
-//! For the walk engine the call-graph phase is `MemberLookup` + the
-//! re-walking fixpoint; for the summary engine it is summary extraction
-//! (the only AST traversal of the run) + worklist replay, so the
-//! comparison charges extraction where it actually happens.
+//! The call-graph phase is summary extraction (the only AST traversal of
+//! the run) + worklist replay, so extraction is charged where it
+//! actually happens; the analysis phase is the liveness replay.
 //!
 //! ```text
 //! bench_suite [--json] [--samples N]
@@ -18,9 +16,9 @@
 
 use ddm_bench::{capture_counters, effective_jobs, host_meta_json, suite_analysis_config, timing};
 use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
-use ddm_core::{AnalysisConfig, DeadMemberAnalysis};
-use ddm_hierarchy::{MemberLookup, Program, ProgramSummary};
-use ddm_telemetry::Counters;
+use ddm_core::DeadMemberAnalysis;
+use ddm_hierarchy::{Program, ProgramSummary};
+use ddm_telemetry::{Counters, Telemetry};
 use std::time::Duration;
 
 struct Cell {
@@ -37,64 +35,49 @@ impl Cell {
 struct Row {
     name: &'static str,
     functions: usize,
-    // [engine][jobs-index]: engines are [walk, summary], jobs are [1, 8].
-    cells: [[Cell; 2]; 2],
-    /// Deterministic analysis counters — identical for every engine and
-    /// jobs value, so one capture per program is exact, not sampled.
+    /// One cell per entry of [`JOBS`].
+    cells: [Cell; 2],
+    /// Deterministic analysis counters — identical for every jobs value,
+    /// so one capture per program is exact, not sampled.
     counters: Counters,
 }
 
 const JOBS: [usize; 2] = [1, 8];
-const ENGINES: [&str; 2] = ["walk", "summary"];
 
-fn suite_config() -> AnalysisConfig {
-    suite_analysis_config()
-}
-
-fn measure(program: &Program, samples: usize) -> [[Cell; 2]; 2] {
+fn measure(program: &Program, samples: usize) -> [Cell; 2] {
     let options = CallGraphOptions {
         algorithm: Algorithm::Rta,
         ..Default::default()
     };
+    let quiet = Telemetry::disabled();
     // Worker counts are clamped to the machine's parallelism: the
     // "jobs8" column measures the sharded schedule, not thread
     // oversubscription on a smaller host (the artifacts are identical
     // either way).
-    let walk = JOBS.map(|jobs| {
+    JOBS.map(|jobs| {
         let jobs = effective_jobs(jobs);
-        let (callgraph, _) = timing::time(samples, || {
-            let lookup = MemberLookup::new(program);
-            CallGraph::build(program, &lookup, &options).unwrap()
-        });
-        let lookup = MemberLookup::new(program);
-        let graph = CallGraph::build(program, &lookup, &options).unwrap();
-        let analysis = DeadMemberAnalysis::new(program, suite_config());
-        let (liveness, _) = timing::time(samples, || analysis.run_jobs(&graph, jobs).unwrap());
-        Cell {
-            callgraph,
-            analysis: liveness,
-        }
-    });
-    let summary_cells = JOBS.map(|jobs| {
-        let jobs = effective_jobs(jobs);
-        let (callgraph, _) = timing::time(samples, || {
+        let build = || {
             let summary = ProgramSummary::build(program, false, jobs);
-            CallGraph::build_from_summary(program, &summary, &options).unwrap()
+            let (graph, _) =
+                CallGraph::build_from_summary_schedule(program, &summary, &options, &quiet)
+                    .unwrap();
+            (summary, graph)
+        };
+        let (callgraph, _) = timing::time(samples, build);
+        let (summary, graph) = build();
+        let analysis = DeadMemberAnalysis::new(program, suite_analysis_config());
+        let (liveness, _) = timing::time(samples, || {
+            analysis.run_summary_counted(&summary, &graph, &quiet).unwrap()
         });
-        let summary = ProgramSummary::build(program, false, jobs);
-        let graph = CallGraph::build_from_summary(program, &summary, &options).unwrap();
-        let analysis = DeadMemberAnalysis::new(program, suite_config());
-        let (liveness, _) = timing::time(samples, || analysis.run_summary(&summary, &graph).unwrap());
         Cell {
             callgraph,
             analysis: liveness,
         }
-    });
-    [walk, summary_cells]
+    })
 }
 
-fn total_for(rows: &[Row], engine: usize, jobs_ix: usize) -> Duration {
-    rows.iter().map(|r| r.cells[engine][jobs_ix].total()).sum()
+fn total_for(rows: &[Row], jobs_ix: usize) -> Duration {
+    rows.iter().map(|r| r.cells[jobs_ix].total()).sum()
 }
 
 fn json_escape_free(name: &str) -> &str {
@@ -117,30 +100,19 @@ fn render_json(rows: &[Row], samples: usize) -> String {
     out.push_str("  \"programs\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"functions\": {}, \"engines\": {{",
+            "    {{\"name\": \"{}\", \"functions\": {}, ",
             json_escape_free(row.name),
             row.functions
         ));
-        for (e, engine) in ENGINES.iter().enumerate() {
-            out.push_str(&format!("\"{engine}\": {{"));
-            for (j, jobs) in JOBS.iter().enumerate() {
-                let c = &row.cells[e][j];
-                out.push_str(&format!(
-                    "\"jobs{jobs}\": {{\"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}}}",
-                    c.callgraph.as_nanos(),
-                    c.analysis.as_nanos(),
-                    c.total().as_nanos()
-                ));
-                if j + 1 < JOBS.len() {
-                    out.push_str(", ");
-                }
-            }
-            out.push('}');
-            if e + 1 < ENGINES.len() {
-                out.push_str(", ");
-            }
+        for (c, jobs) in row.cells.iter().zip(JOBS) {
+            out.push_str(&format!(
+                "\"jobs{jobs}\": {{\"callgraph_ns\": {}, \"analysis_ns\": {}, \"total_ns\": {}}}, ",
+                c.callgraph.as_nanos(),
+                c.analysis.as_nanos(),
+                c.total().as_nanos()
+            ));
         }
-        out.push_str("}, \"counters\": {");
+        out.push_str("\"counters\": {");
         let counter_rows = row.counters.rows();
         for (k, (key, value)) in counter_rows.iter().enumerate() {
             out.push_str(&format!("\"{key}\": {value}"));
@@ -154,14 +126,9 @@ fn render_json(rows: &[Row], samples: usize) -> String {
     out.push_str("  ],\n");
     out.push_str("  \"totals\": {\n");
     for (j, jobs) in JOBS.iter().enumerate() {
-        let walk = total_for(rows, 0, j);
-        let summary = total_for(rows, 1, j);
-        let speedup = walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON);
         out.push_str(&format!(
-            "    \"walk_jobs{jobs}_ns\": {}, \"summary_jobs{jobs}_ns\": {}, \"speedup_jobs{jobs}\": {:.2}",
-            walk.as_nanos(),
-            summary.as_nanos(),
-            speedup
+            "    \"summary_jobs{jobs}_ns\": {}",
+            total_for(rows, j).as_nanos()
         ));
         out.push_str(if j + 1 < JOBS.len() { ",\n" } else { "\n" });
     }
@@ -194,30 +161,20 @@ fn main() {
     }
 
     println!(
-        "{:<12} {:>6}  {:>22}  {:>22}  {:>8}",
-        "program", "funcs", "walk cg+analysis (j1)", "summary cg+analysis (j1)", "speedup"
+        "{:<12} {:>6}  {:>18}  {:>18}",
+        "program", "funcs", "cg+analysis (j1)", "cg+analysis (j8)"
     );
     for row in &rows {
-        let walk = row.cells[0][0].total();
-        let summary = row.cells[1][0].total();
         println!(
-            "{:<12} {:>6}  {:>22.1?}  {:>22.1?}  {:>7.2}x",
+            "{:<12} {:>6}  {:>18.1?}  {:>18.1?}",
             row.name,
             row.functions,
-            walk,
-            summary,
-            walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
+            row.cells[0].total(),
+            row.cells[1].total()
         );
     }
     for (j, jobs) in JOBS.iter().enumerate() {
-        let walk = total_for(&rows, 0, j);
-        let summary = total_for(&rows, 1, j);
-        println!(
-            "total (jobs={jobs}): walk {:.1?}  summary {:.1?}  speedup {:.2}x",
-            walk,
-            summary,
-            walk.as_secs_f64() / summary.as_secs_f64().max(f64::EPSILON)
-        );
+        println!("total (jobs={jobs}): {:.1?}", total_for(&rows, j));
     }
 
     if json {

@@ -1,13 +1,14 @@
 //! Corpus-scale differential fuzzing rig.
 //!
-//! The reproduction has two independent engines (walk and summary), a
+//! The reproduction has two independent implementations — the summary
+//! engine and the sequential walk reference ([`crate::reference`]) — a
 //! deterministic generator, and byte-identical artifacts across worker
-//! counts and cache states — a ready-made differential-testing oracle.
+//! counts and cache states: a ready-made differential-testing oracle.
 //! This module sweeps seeded adversarial generator configurations
 //! ([`ddm_benchmarks::generator::generate_fuzz`]) through the full
-//! oracle matrix:
+//! oracle matrix, every cell compared against the walk reference:
 //!
-//! * engines `{walk, summary}` × jobs `{1, 8}`, cacheless;
+//! * the summary engine at jobs `{1, 8}`, cacheless;
 //! * the summary engine against a persistent cache: cold, warm, and
 //!   1-changed (one TU's content perturbed), each at jobs `{1, 8}`;
 //! * a multi-step edit script: three further random single-TU edits
@@ -32,7 +33,9 @@ use ddm_benchmarks::generator::{
 };
 use ddm_benchmarks::rng::Rng;
 use ddm_callgraph::Algorithm;
-use ddm_core::{explain, AnalysisConfig, Engine, ProjectPipeline};
+use ddm_callgraph::CallGraph;
+use ddm_core::{explain, AnalysisConfig, Engine, Liveness, ProjectPipeline, Report};
+use ddm_hierarchy::Program;
 use ddm_telemetry::Telemetry;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -106,7 +109,9 @@ pub fn algorithm_flag(algorithm: Algorithm) -> &'static str {
 pub struct CellOutcome {
     /// e.g. `summary jobs=8 cache=warm`.
     pub label: String,
-    /// `ddm <files> --callgraph ... --engine ... --jobs ...` suffix.
+    /// `ddm <files> --callgraph ... --jobs ...` suffix. The walk
+    /// reference has no CLI: its cell shows the jobs=1 command, whose
+    /// output must equal the reference.
     pub cli: String,
     /// Report + explains + counters, or `error: ...` for rejections.
     pub artifact: String,
@@ -115,8 +120,8 @@ pub struct CellOutcome {
 /// A pair of oracle cells that disagreed on the same inputs.
 #[derive(Debug, Clone)]
 pub struct Divergence {
-    /// The reference cell (walk, jobs 1, cacheless — or the cacheless
-    /// baseline over edited inputs for 1-changed cells).
+    /// The reference cell (the walk reference — or the cacheless
+    /// summary baseline over edited inputs for 1-changed cells).
     pub baseline: CellOutcome,
     /// The disagreeing cell.
     pub other: CellOutcome,
@@ -153,15 +158,15 @@ pub enum CaseResult {
     Diverged(Box<Divergence>),
 }
 
-/// Runs one oracle cell and renders its canonical artifact: the report,
-/// the `--explain` text of every member (capped at [`EXPLAIN_CAP`]),
-/// and the deterministic counters — or the error text for rejected
-/// programs. Every byte of this artifact is pinned to be identical
-/// across engines, worker counts, and cache states.
+/// Runs one summary-engine oracle cell and renders its canonical
+/// artifact: the report, the `--explain` text of every member (capped at
+/// [`EXPLAIN_CAP`]), and the deterministic counters — or the error text
+/// for rejected programs. Every byte of this artifact is pinned to be
+/// identical across worker counts and cache states, and to the walk
+/// reference's ([`reference_artifact`]).
 pub fn oracle_artifact(
     inputs: &[(String, String)],
     algorithm: Algorithm,
-    engine: Engine,
     jobs: usize,
     cache: Option<&Path>,
 ) -> String {
@@ -171,35 +176,57 @@ pub fn oracle_artifact(
         AnalysisConfig::default(),
         algorithm,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         &telemetry,
     ) {
-        Ok(p) => {
-            let mut out = p.report().to_string();
-            let program = p.program();
-            let mut specs = Vec::new();
-            'classes: for (_, class) in program.classes() {
-                for member in &class.members {
-                    if specs.len() >= EXPLAIN_CAP {
-                        break 'classes;
-                    }
-                    specs.push(format!("{}::{}", class.name, member.name));
-                }
-            }
-            for spec in &specs {
-                match explain(program, p.callgraph(), p.liveness(), spec) {
-                    Ok(text) => out.push_str(&text),
-                    Err(e) => {
-                        let _ = writeln!(out, "explain {spec}: error: {e}");
-                    }
-                }
-            }
-            let _ = writeln!(out, "counters: {:?}", telemetry.counters().rows());
-            out
-        }
+        Ok(p) => render_artifact(p.program(), p.callgraph(), p.liveness(), &p.report(), &telemetry),
         Err(e) => format!("error: {e}\n"),
     }
+}
+
+/// The walk reference's artifact over `inputs`, in the format of
+/// [`oracle_artifact`].
+pub fn reference_artifact(inputs: &[(String, String)], algorithm: Algorithm) -> String {
+    let telemetry = Telemetry::enabled();
+    match crate::reference::analyze_project(
+        inputs,
+        &AnalysisConfig::default(),
+        algorithm,
+        &telemetry,
+    ) {
+        Ok(r) => render_artifact(r.program(), r.callgraph(), r.liveness(), &r.report(), &telemetry),
+        Err(e) => format!("error: {e}\n"),
+    }
+}
+
+fn render_artifact(
+    program: &Program,
+    callgraph: &CallGraph,
+    liveness: &Liveness,
+    report: &Report,
+    telemetry: &Telemetry,
+) -> String {
+    let mut out = report.to_string();
+    let mut specs = Vec::new();
+    'classes: for (_, class) in program.classes() {
+        for member in &class.members {
+            if specs.len() >= EXPLAIN_CAP {
+                break 'classes;
+            }
+            specs.push(format!("{}::{}", class.name, member.name));
+        }
+    }
+    for spec in &specs {
+        match explain(program, callgraph, liveness, spec) {
+            Ok(text) => out.push_str(&text),
+            Err(e) => {
+                let _ = writeln!(out, "explain {spec}: error: {e}");
+            }
+        }
+    }
+    let _ = writeln!(out, "counters: {:?}", telemetry.counters().rows());
+    out
 }
 
 /// Serial number for scratch cache directories, so concurrent sweep
@@ -211,16 +238,8 @@ fn fresh_dir(scratch_root: &Path, tag: &str) -> PathBuf {
     scratch_root.join(format!("{tag}-{n}"))
 }
 
-fn cli_for(
-    algorithm: Algorithm,
-    engine: Engine,
-    jobs: usize,
-    cache: Option<&str>,
-) -> String {
-    let mut cli = format!(
-        "--callgraph {} --engine {engine} --jobs {jobs}",
-        algorithm_flag(algorithm)
-    );
+fn cli_for(algorithm: Algorithm, jobs: usize, cache: Option<&str>) -> String {
+    let mut cli = format!("--callgraph {} --jobs {jobs}", algorithm_flag(algorithm));
     if let Some(state) = cache {
         let _ = write!(cli, " --cache-dir <{state} dir>");
     }
@@ -228,7 +247,7 @@ fn cli_for(
 }
 
 /// Runs the oracle matrix over `inputs` and compares every cell to the
-/// walk/jobs=1 baseline; with `full`, also exercises the persistent
+/// walk reference; with `full`, also exercises the persistent
 /// cache (cold, warm, and 1-changed at jobs 1 and 8, where the
 /// 1-changed cells are compared against a cacheless baseline over the
 /// same edited inputs), then replays a three-step random single-TU
@@ -243,17 +262,19 @@ pub fn check_inputs(
     scratch_root: &Path,
     full: bool,
 ) -> Option<Box<Divergence>> {
-    let run = |engine: Engine, jobs: usize, cache: Option<&Path>, state: Option<&str>| {
-        CellOutcome {
-            label: match state {
-                Some(s) => format!("{engine} jobs={jobs} cache={s}"),
-                None => format!("{engine} jobs={jobs}"),
-            },
-            cli: cli_for(algorithm, engine, jobs, state),
-            artifact: oracle_artifact(inputs, algorithm, engine, jobs, cache),
-        }
+    let run = |jobs: usize, cache: Option<&Path>, state: Option<&str>| CellOutcome {
+        label: match state {
+            Some(s) => format!("summary jobs={jobs} cache={s}"),
+            None => format!("summary jobs={jobs}"),
+        },
+        cli: cli_for(algorithm, jobs, state),
+        artifact: oracle_artifact(inputs, algorithm, jobs, cache),
     };
-    let baseline = run(Engine::Walk, 1, None, None);
+    let baseline = CellOutcome {
+        label: "walk reference (in-process)".to_string(),
+        cli: cli_for(algorithm, 1, None),
+        artifact: reference_artifact(inputs, algorithm),
+    };
     let check = |other: CellOutcome| -> Option<Box<Divergence>> {
         if other.artifact != baseline.artifact {
             Some(Box::new(Divergence {
@@ -266,8 +287,8 @@ pub fn check_inputs(
         }
     };
 
-    for (engine, jobs) in [(Engine::Walk, 8), (Engine::Summary, 1), (Engine::Summary, 8)] {
-        if let Some(d) = check(run(engine, jobs, None, None)) {
+    for jobs in [1, 8] {
+        if let Some(d) = check(run(jobs, None, None)) {
             return Some(d);
         }
     }
@@ -284,7 +305,7 @@ pub fn check_inputs(
         let dir = fresh_dir(scratch_root, "cache");
         dirs.push(dir.clone());
         for state in ["cold", "warm"] {
-            let cell = run(Engine::Summary, jobs, Some(&dir), Some(state));
+            let cell = run(jobs, Some(&dir), Some(state));
             if let Some(d) = check(cell) {
                 found = Some(d);
                 break 'matrix;
@@ -302,14 +323,14 @@ pub fn check_inputs(
     if found.is_none() {
         let edited_baseline = CellOutcome {
             label: "summary jobs=1 (edited, cacheless)".to_string(),
-            cli: cli_for(algorithm, Engine::Summary, 1, None),
-            artifact: oracle_artifact(&edited, algorithm, Engine::Summary, 1, None),
+            cli: cli_for(algorithm, 1, None),
+            artifact: oracle_artifact(&edited, algorithm, 1, None),
         };
         for (jobs, dir) in [1usize, 8].iter().zip(&dirs) {
             let cell = CellOutcome {
                 label: format!("summary jobs={jobs} cache=1-changed"),
-                cli: cli_for(algorithm, Engine::Summary, *jobs, Some("1-changed")),
-                artifact: oracle_artifact(&edited, algorithm, Engine::Summary, *jobs, Some(dir)),
+                cli: cli_for(algorithm, *jobs, Some("1-changed")),
+                artifact: oracle_artifact(&edited, algorithm, *jobs, Some(dir)),
             };
             if cell.artifact != edited_baseline.artifact {
                 found = Some(Box::new(Divergence {
@@ -347,13 +368,13 @@ pub fn check_inputs(
             );
             let step_baseline = CellOutcome {
                 label: format!("summary jobs=1 (edit step {step}, cacheless)"),
-                cli: cli_for(algorithm, Engine::Summary, 1, None),
-                artifact: oracle_artifact(&current, algorithm, Engine::Summary, 1, None),
+                cli: cli_for(algorithm, 1, None),
+                artifact: oracle_artifact(&current, algorithm, 1, None),
             };
             let cell = CellOutcome {
                 label: format!("summary jobs=1 cache=edit-step-{step}"),
-                cli: cli_for(algorithm, Engine::Summary, 1, Some("edit script")),
-                artifact: oracle_artifact(&current, algorithm, Engine::Summary, 1, Some(dir)),
+                cli: cli_for(algorithm, 1, Some("edit script")),
+                artifact: oracle_artifact(&current, algorithm, 1, Some(dir)),
             };
             if cell.artifact != step_baseline.artifact {
                 found = Some(Box::new(Divergence {
@@ -378,8 +399,7 @@ pub fn run_case(case: &FuzzCase, scratch_root: &Path, full: bool) -> CaseResult 
     match check_inputs(&inputs, case.algorithm, scratch_root, full) {
         Some(d) => CaseResult::Diverged(d),
         None => CaseResult::Agree {
-            error_outcome: oracle_artifact(&inputs, case.algorithm, Engine::Summary, 1, None)
-                .starts_with("error:"),
+            error_outcome: oracle_artifact(&inputs, case.algorithm, 1, None).starts_with("error:"),
         },
     }
 }

@@ -20,10 +20,11 @@
 //! immediate.
 
 pub mod fuzz;
+pub mod reference;
 
 use ddm_benchmarks::Benchmark;
 use ddm_callgraph::Algorithm;
-use ddm_core::{AnalysisConfig, AnalysisPipeline, Engine, PipelineError, SizeofPolicy};
+use ddm_core::{AnalysisConfig, AnalysisPipeline, PipelineError, SizeofPolicy};
 use ddm_dynamic::{profile_trace, HeapProfile, Interpreter, RunConfig, RuntimeError};
 use ddm_telemetry::{Counters, Telemetry};
 
@@ -192,9 +193,9 @@ pub fn suite_analysis_config() -> AnalysisConfig {
 }
 
 /// The deterministic counters of one end-to-end analysis of `source`
-/// under [`suite_analysis_config`]. Engine and jobs never change the
-/// counters (pinned by the equivalence suites), so one capture is
-/// exact, not sampled.
+/// under [`suite_analysis_config`]. Jobs never change the counters, and
+/// the walk reference agrees with them (pinned by the equivalence
+/// suites), so one capture is exact, not sampled.
 pub fn capture_counters(source: &str) -> Counters {
     let telemetry = Telemetry::enabled();
     AnalysisPipeline::with_config_telemetry(
@@ -202,7 +203,6 @@ pub fn capture_counters(source: &str) -> Counters {
         suite_analysis_config(),
         Algorithm::Rta,
         1,
-        Engine::Summary,
         &telemetry,
     )
     .expect("suite program analyses cleanly");

@@ -1039,9 +1039,11 @@ mod tests {
                 ..Default::default()
             };
             let summary = ProgramSummary::build(&program, algorithm == Algorithm::Pta, 1);
-            let walked = CallGraph::build(&program, &lookup, &options).expect("walk");
-            let replayed =
-                CallGraph::build_from_summary(&program, &summary, &options).expect("replay");
+            let quiet = ddm_telemetry::Telemetry::disabled();
+            let walked = CallGraph::build_with(&program, &lookup, &options, &quiet).expect("walk");
+            let (replayed, _) =
+                CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet)
+                    .expect("replay");
             assert_eq!(walked, replayed, "{algorithm:?}");
         }
     }

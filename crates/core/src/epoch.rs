@@ -20,7 +20,6 @@
 use crate::analysis::AnalysisConfig;
 use crate::explain::{explain, ExplainError};
 use crate::liveness::Liveness;
-use crate::pipeline::Engine;
 use crate::report::{render_analysis, Report};
 use ddm_callgraph::CallGraph;
 use ddm_cppfront::SourceSet;
@@ -42,7 +41,6 @@ pub struct EpochSnapshot {
     pub(crate) liveness: Liveness,
     pub(crate) used: HashSet<ClassId>,
     pub(crate) config: AnalysisConfig,
-    pub(crate) engine: Engine,
     pub(crate) counters: Counters,
 }
 
@@ -90,11 +88,6 @@ impl EpochSnapshot {
     /// The configuration the run used.
     pub fn config(&self) -> &AnalysisConfig {
         &self.config
-    }
-
-    /// The engine the run used.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// The deterministic counters the run accumulated on its telemetry
@@ -192,7 +185,6 @@ mod tests {
             AnalysisConfig::default(),
             Algorithm::Rta,
             1,
-            Engine::Summary,
             None,
             &Telemetry::enabled(),
             epoch,

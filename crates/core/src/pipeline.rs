@@ -6,42 +6,26 @@ use crate::liveness::Liveness;
 use crate::report::Report;
 use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
 use ddm_cppfront::{parse, ParseError};
-use ddm_hierarchy::{
-    body_walk_count, used_classes, ClassId, MemberLookup, Program, ProgramSummary, SemaError,
-    TypeError,
-};
+use ddm_hierarchy::{body_walk_count, ClassId, Program, ProgramSummary, SemaError, TypeError};
 use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
 use std::error::Error;
 use std::fmt;
 
-/// Which analysis engine drives the pipeline.
+/// The analysis engine. There is one: the walk-once summary engine, in
+/// which each function body is traversed exactly once to extract a
+/// summary, and call-graph construction and the liveness scan then
+/// propagate over summaries. The sequential walk reference it is tested
+/// against ([`DeadMemberAnalysis::run_with`]) is not selectable.
 ///
-/// Both engines produce bit-identical results (liveness, reasons,
-/// call graph, used classes, and rendered report); they differ only in
-/// how often function bodies are traversed.
+/// Only [`ProjectPipeline::run`](crate::ProjectPipeline::run) still takes
+/// an `Engine`, so that existing callers keep compiling; the argument is
+/// ignored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Engine {
-    /// The AST-walking engine: the delta call-graph fixpoint walks each
-    /// newly reachable function body once (widening parked dispatch
-    /// sites without re-walking), and the liveness scan walks the
-    /// reachable set again. Retained as the differential-testing
-    /// reference.
-    Walk,
-    /// The walk-once engine (default): each function body is traversed
-    /// exactly once to extract a summary; call-graph construction and the
-    /// liveness scan then propagate over summaries.
+    /// The walk-once summary engine.
     #[default]
     Summary,
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Engine::Walk => "walk",
-            Engine::Summary => "summary",
-        })
-    }
 }
 
 /// Any error the pipeline can produce.
@@ -115,7 +99,6 @@ pub struct AnalysisPipeline {
     liveness: Liveness,
     used: HashSet<ClassId>,
     config: AnalysisConfig,
-    engine: Engine,
 }
 
 impl AnalysisPipeline {
@@ -143,10 +126,8 @@ impl AnalysisPipeline {
         Self::with_config_jobs(source, config, algorithm, 1)
     }
 
-    /// Runs the full pipeline, sharding the liveness scan across `jobs`
-    /// worker threads (see [`DeadMemberAnalysis::run_jobs`]). Results are
-    /// bit-identical for every `jobs` value; `jobs <= 1` is the
-    /// sequential reference path.
+    /// Runs the full pipeline, sharding summary extraction across `jobs`
+    /// worker threads. Results are bit-identical for every `jobs` value.
     ///
     /// # Errors
     ///
@@ -157,25 +138,10 @@ impl AnalysisPipeline {
         algorithm: Algorithm,
         jobs: usize,
     ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_engine(source, config, algorithm, jobs, Engine::default())
+        Self::with_config_telemetry(source, config, algorithm, jobs, &Telemetry::disabled())
     }
 
-    /// Runs the full pipeline on an explicit [`Engine`].
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] for parse, semantic, or type failures.
-    pub fn with_config_engine(
-        source: &str,
-        config: AnalysisConfig,
-        algorithm: Algorithm,
-        jobs: usize,
-        engine: Engine,
-    ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_telemetry(source, config, algorithm, jobs, engine, &Telemetry::disabled())
-    }
-
-    /// [`AnalysisPipeline::with_config_engine`] with telemetry: every
+    /// [`AnalysisPipeline::with_config_jobs`] with telemetry: every
     /// pipeline phase is spanned on the main lane (workers record their
     /// own lanes), the deterministic counters are accumulated, and the
     /// execution-stats snapshot is filled in.
@@ -192,7 +158,6 @@ impl AnalysisPipeline {
         config: AnalysisConfig,
         algorithm: Algorithm,
         jobs: usize,
-        engine: Engine,
         telemetry: &Telemetry,
     ) -> Result<AnalysisPipeline, PipelineError> {
         let walks_before = body_walk_count();
@@ -212,71 +177,28 @@ impl AnalysisPipeline {
                 .iter()
                 .filter_map(|n| program.class_by_name(n))
                 .collect(),
-            jobs,
+            ..Default::default()
         };
-        let (callgraph, liveness, used) = match engine {
-            Engine::Walk => {
-                let lookup = MemberLookup::new(&program);
-                let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let callgraph = CallGraph::build_with(&program, &lookup, &cg_options, telemetry)?;
-                drop(cg_span);
-                let liveness = DeadMemberAnalysis::new(&program, config.clone()).run_jobs_with(
-                    &callgraph,
-                    jobs,
-                    telemetry,
-                )?;
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = used_classes(&program, &lookup)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-            Engine::Summary => {
-                // Walk once: extract summaries (sharded across `jobs`
-                // workers), then every downstream phase propagates over
-                // them without touching an AST again.
-                let summary =
-                    ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, jobs, telemetry);
-                let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let callgraph =
-                    CallGraph::build_from_summary_with(&program, &summary, &cg_options, telemetry)?;
-                drop(cg_span);
-                let liveness = DeadMemberAnalysis::new(&program, config.clone()).run_summary_with(
-                    &summary,
-                    &callgraph,
-                    telemetry,
-                )?;
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = summary.used_classes(&program)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-        };
+        // Walk once: extract summaries (sharded across `jobs` workers),
+        // then every downstream phase propagates over them without
+        // touching an AST again.
+        let summary =
+            ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, jobs, telemetry);
+        let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
+        let (callgraph, _) =
+            CallGraph::build_from_summary_schedule(&program, &summary, &cg_options, telemetry)?;
+        drop(cg_span);
+        let (liveness, _) = DeadMemberAnalysis::new(&program, config.clone())
+            .run_summary_counted(&summary, &callgraph, telemetry)?;
+        let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
+        let used = summary.used_classes(&program)?;
+        drop(used_span);
 
         telemetry.update_stats(|s| {
-            s.engine = engine.to_string();
             s.jobs = jobs as u64;
             s.bodies_walked += body_walk_count() - walks_before;
         });
-        let mut tail = Counters::default();
-        tail.reachable_functions = callgraph.reachable_count() as u64;
-        tail.callgraph_edges = callgraph.edge_count() as u64;
-        tail.instantiated_classes = callgraph.instantiated().len() as u64;
-        for (cid, class) in program.classes() {
-            for idx in 0..class.members.len() {
-                let m = ddm_hierarchy::MemberRef::new(cid, idx);
-                // Mirror the report's precedence: unclassifiable trumps
-                // the live/dead verdict.
-                if liveness.is_unclassifiable(m) {
-                    tail.members_unclassifiable += 1;
-                } else if liveness.is_live(m) {
-                    tail.members_live += 1;
-                } else {
-                    tail.members_dead += 1;
-                }
-            }
-        }
-        telemetry.add_counters(&tail);
-        emit_classification_event(telemetry, &tail);
+        record_classification(&program, &callgraph, &liveness, telemetry);
 
         Ok(AnalysisPipeline {
             tu,
@@ -285,7 +207,6 @@ impl AnalysisPipeline {
             liveness,
             used,
             config,
-            engine,
         })
     }
 
@@ -313,14 +234,16 @@ impl AnalysisPipeline {
 
         std::thread::scope(|scope| {
             for _ in 0..jobs {
-                scope.spawn(|| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((_, source)) = inputs.get(i) else {
-                        break;
-                    };
-                    let result = Self::with_config(source, config.clone(), algorithm);
-                    *slots[i].lock().expect("suite slot poisoned") = Some(result);
-                });
+                ddm_hierarchy::analysis_thread()
+                    .spawn_scoped(scope, || loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        let Some((_, source)) = inputs.get(i) else {
+                            break;
+                        };
+                        let result = Self::with_config(source, config.clone(), algorithm);
+                        *slots[i].lock().expect("suite slot poisoned") = Some(result);
+                    })
+                    .expect("spawn suite worker");
             }
         });
 
@@ -367,21 +290,44 @@ impl AnalysisPipeline {
         &self.config
     }
 
-    /// The engine the run used.
-    pub fn engine(&self) -> Engine {
-        self.engine
-    }
-
     /// Builds the report.
     pub fn report(&self) -> Report {
         Report::new(&self.program, &self.liveness, &self.used)
     }
 }
 
-/// Flight-recorder tail shared by the single-TU and project pipelines:
-/// the final classification verdict alongside the graph totals that
-/// scoped it — all deterministic-counter fields, so det class.
-pub(crate) fn emit_classification_event(telemetry: &Telemetry, tail: &Counters) {
+/// The classification tail shared by the single-TU and project pipelines
+/// (and the walk reference in the bench crate): counts the graph totals
+/// and the live / dead / unclassifiable verdicts into the deterministic
+/// counters, and emits them as the det-class `classification` event and
+/// the `classify/*` gauges.
+pub fn record_classification(
+    program: &Program,
+    callgraph: &CallGraph,
+    liveness: &Liveness,
+    telemetry: &Telemetry,
+) {
+    let mut tail = Counters {
+        reachable_functions: callgraph.reachable_count() as u64,
+        callgraph_edges: callgraph.edge_count() as u64,
+        instantiated_classes: callgraph.instantiated().len() as u64,
+        ..Counters::default()
+    };
+    for (cid, class) in program.classes() {
+        for idx in 0..class.members.len() {
+            let m = ddm_hierarchy::MemberRef::new(cid, idx);
+            // Mirror the report's precedence: unclassifiable trumps the
+            // live/dead verdict.
+            if liveness.is_unclassifiable(m) {
+                tail.members_unclassifiable += 1;
+            } else if liveness.is_live(m) {
+                tail.members_live += 1;
+            } else {
+                tail.members_dead += 1;
+            }
+        }
+    }
+    telemetry.add_counters(&tail);
     telemetry.event(EventClass::Deterministic, "classification", || {
         vec![
             ("reachable_functions", tail.reachable_functions.into()),

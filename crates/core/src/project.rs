@@ -4,9 +4,9 @@
 //! end (parse → model → walk-once summary → [`TuModule`] extraction)
 //! sharded across the worker pool, links the modules into one program
 //! ([`ddm_hierarchy::link`]), and drives the existing delta-fixpoint
-//! call graph and liveness over the linked result. Both engines produce
-//! bit-identical artifacts for every worker count, exactly like the
-//! single-TU [`AnalysisPipeline`](crate::AnalysisPipeline).
+//! call graph and liveness over the linked result. Artifacts are
+//! bit-identical for every worker count, exactly like the single-TU
+//! [`AnalysisPipeline`](crate::AnalysisPipeline).
 //!
 //! With a cache directory, per-TU modules persist across runs keyed by
 //! the FNV-1a content hash of the TU source (plus a format version and
@@ -15,9 +15,7 @@
 //! byte-identical reports, `--explain` output, and deterministic
 //! counters versus a cold cacheless run: the linked model is always
 //! assembled from module records, so a summary resolved from cache
-//! cannot drift from one extracted fresh. Only the summary engine
-//! consults the cache — the walk engine re-walks bodies and therefore
-//! always needs every parse.
+//! cannot drift from one extracted fresh.
 //!
 //! Entries are published atomically (write to a process-unique temp
 //! file, then rename), so concurrent writers sharing one cache
@@ -29,15 +27,14 @@
 use crate::analysis::{replay_liveness_telemetry, AnalysisConfig, DeadMemberAnalysis};
 use crate::epoch::EpochSnapshot;
 use crate::liveness::Liveness;
-use crate::pipeline::{emit_classification_event, Engine, PipelineError};
+use crate::pipeline::{record_classification, Engine, PipelineError};
 use crate::report::Report;
 use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
 use ddm_callgraph::{replay_schedule, Algorithm, CallGraph, CallGraphOptions, CgSchedule};
 use ddm_cppfront::{parse, SourceMap, SourceSet};
 use ddm_hierarchy::{
-    body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, used_classes, ClassId, FuncId,
-    LinkDelta, LinkError, LinkedProgram, MemberLookup, Program, ProgramSummary, TuModule,
-    TypeError,
+    analysis_thread, body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, ClassId,
+    FuncId, LinkDelta, LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
 };
 use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
 use std::collections::HashSet;
@@ -284,9 +281,9 @@ fn fixpoint_reusable(snap: &AnalysisSnapshot, delta: &LinkDelta, program: &Progr
 
 impl ProjectPipeline {
     /// Runs the multi-TU pipeline over `inputs` (name, source) pairs.
+    /// `_engine` is ignored: [`Engine`] has a single variant.
     ///
-    /// `cache_dir`, when set and the engine is [`Engine::Summary`],
-    /// enables the persistent module cache: entries are looked up by
+    /// `cache_dir`, when set, enables the persistent module cache: entries are looked up by
     /// content hash before the per-TU front end runs, and every freshly
     /// computed module is written back. Cache I/O is best-effort — an
     /// unreadable, corrupt, version-mismatched, or fingerprint-mismatched
@@ -304,11 +301,11 @@ impl ProjectPipeline {
         config: AnalysisConfig,
         algorithm: Algorithm,
         jobs: usize,
-        engine: Engine,
+        _engine: Engine,
         cache_dir: Option<&Path>,
         telemetry: &Telemetry,
     ) -> Result<ProjectPipeline, ProjectError> {
-        Self::run_epoch(inputs, config, algorithm, jobs, engine, cache_dir, telemetry, 0)
+        Self::run_epoch(inputs, config, algorithm, jobs, cache_dir, telemetry, 0)
             .map(|snapshot| ProjectPipeline { snapshot })
     }
 
@@ -325,26 +322,18 @@ impl ProjectPipeline {
     /// # Errors
     ///
     /// Exactly as [`ProjectPipeline::run`].
-    #[allow(clippy::too_many_arguments)]
     pub fn run_epoch(
         inputs: &[(String, String)],
         config: AnalysisConfig,
         algorithm: Algorithm,
         jobs: usize,
-        engine: Engine,
-        cache_dir: Option<&Path>,
+        cache: Option<&Path>,
         telemetry: &Telemetry,
         epoch: u64,
     ) -> Result<Arc<EpochSnapshot>, ProjectError> {
         let walks_before = body_walk_count();
         let fingerprint = config_fingerprint(algorithm);
         let refine = algorithm == Algorithm::Pta;
-        let cache = match engine {
-            Engine::Summary => cache_dir,
-            // The walk engine re-walks every body, so it needs every
-            // parse regardless; it neither reads nor writes the cache.
-            Engine::Walk => None,
-        };
 
         // --- Cache probe: content-hash every input, load what we can.
         // A valid analysis snapshot short-circuits the per-TU JSON probe
@@ -528,7 +517,7 @@ impl ProjectPipeline {
                     let next = &next;
                     let slots = &slots;
                     let todo = &todo;
-                    scope.spawn(move || loop {
+                    let worker = move || loop {
                         let n = next.fetch_add(1, Ordering::Relaxed);
                         let Some(&i) = todo.get(n) else {
                             break;
@@ -544,7 +533,10 @@ impl ProjectPipeline {
                             Ok((module, program))
                         })();
                         *slots[n].lock().expect("tu slot poisoned") = Some(outcome);
-                    });
+                    };
+                    analysis_thread()
+                        .spawn_scoped(scope, worker)
+                        .expect("spawn TU front-end worker");
                 }
             });
 
@@ -653,7 +645,7 @@ impl ProjectPipeline {
         let link_ns = link_start.elapsed().as_nanos() as u64;
 
         #[cfg(debug_assertions)]
-        if engine == Engine::Summary && hits == 0 {
+        if hits == 0 {
             // A cold link must resolve to exactly the summary a fresh
             // walk of the linked program would extract; the cache layer
             // then inherits this identity byte for byte.
@@ -679,7 +671,7 @@ impl ProjectPipeline {
                 .iter()
                 .filter_map(|n| program.class_by_name(n))
                 .collect(),
-            jobs,
+            ..Default::default()
         };
         let attribute = |e: TypeError| -> ProjectError {
             let file = linked
@@ -697,9 +689,7 @@ impl ProjectPipeline {
         // `Everything` builds no schedule (and is trivial to rebuild),
         // so it never replays. ---
         let reusable = match (&snapshot, &delta) {
-            (Some(snap), Some(delta))
-                if engine == Engine::Summary && algorithm != Algorithm::Everything =>
-            {
+            (Some(snap), Some(delta)) if algorithm != Algorithm::Everything => {
                 fixpoint_reusable(snap, delta, program)
             }
             _ => false,
@@ -718,104 +708,80 @@ impl ProjectPipeline {
 
         let mut callgraph_ns = 0u64;
         let mut liveness_ns = 0u64;
-        let mut fixpoint_reused = false;
-        // The converged schedule and scan counters of whichever path
-        // ran, kept for the snapshot write-back.
-        let mut schedule: Option<CgSchedule> = None;
-        let mut scan_counters: Option<Counters> = None;
-        let (callgraph, liveness, used) = match engine {
-            Engine::Walk => {
-                let lookup = MemberLookup::new(program);
+        // The graph and liveness with the converged schedule and scan
+        // counters of whichever path ran, the latter two kept for the
+        // snapshot write-back.
+        let mut replayed: Option<(CallGraph, Liveness, CgSchedule, Counters)> = None;
+        if reusable {
+            let snap = snapshot.as_ref().expect("the gate implies a snapshot");
+            let cg_start = Instant::now();
+            let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
+            match CallGraph::from_parts(
+                snap.callgraph.clone(),
+                program.function_count(),
+                program.class_count(),
+            ) {
+                Ok(callgraph) => {
+                    replay_schedule(&callgraph, &snap.schedule, telemetry);
+                    drop(cg_span);
+                    callgraph_ns = cg_start.elapsed().as_nanos() as u64;
+                    let live_start = Instant::now();
+                    let liveness = Liveness::from_parts(
+                        &snap.liveness,
+                        Some(linked.summary().member_index().clone()),
+                    );
+                    replay_liveness_telemetry(
+                        telemetry,
+                        callgraph.reachable_count(),
+                        &snap.liveness_counters,
+                    );
+                    liveness_ns = live_start.elapsed().as_nanos() as u64;
+                    replayed = Some((
+                        callgraph,
+                        liveness,
+                        snap.schedule.clone(),
+                        snap.liveness_counters,
+                    ));
+                }
+                Err(reason) => {
+                    // Structurally impossible after the gate; if
+                    // it ever fires, fall back to a fresh run.
+                    drop(cg_span);
+                    telemetry.event(
+                        EventClass::Observational,
+                        "snapshot_rejected",
+                        || vec![("reason", reason.as_str().into())],
+                    );
+                }
+            }
+        }
+        let fixpoint_reused = replayed.is_some();
+        let (callgraph, liveness, schedule, scan_counters) = match replayed {
+            Some(reused) => reused,
+            None => {
                 let cg_start = Instant::now();
                 let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let callgraph = CallGraph::build_with(program, &lookup, &cg_options, telemetry)
-                    .map_err(attribute)?;
+                let (callgraph, fresh_schedule) = CallGraph::build_from_summary_schedule(
+                    program,
+                    linked.summary(),
+                    &cg_options,
+                    telemetry,
+                )
+                .map_err(attribute)?;
                 drop(cg_span);
                 callgraph_ns = cg_start.elapsed().as_nanos() as u64;
                 let live_start = Instant::now();
-                let liveness = DeadMemberAnalysis::new(program, config.clone())
-                    .run_jobs_with(&callgraph, jobs, telemetry)
-                    .map_err(attribute)?;
-                liveness_ns = live_start.elapsed().as_nanos() as u64;
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = used_classes(program, &lookup).map_err(attribute)?;
-                drop(used_span);
-                (callgraph, liveness, used)
-            }
-            Engine::Summary => {
-                let mut replayed: Option<(CallGraph, Liveness)> = None;
-                if reusable {
-                    let snap = snapshot.as_ref().expect("the gate implies a snapshot");
-                    let cg_start = Instant::now();
-                    let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                    match CallGraph::from_parts(
-                        snap.callgraph.clone(),
-                        program.function_count(),
-                        program.class_count(),
-                    ) {
-                        Ok(callgraph) => {
-                            replay_schedule(&callgraph, &snap.schedule, telemetry);
-                            drop(cg_span);
-                            callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-                            let live_start = Instant::now();
-                            let liveness = Liveness::from_parts(
-                                &snap.liveness,
-                                Some(linked.summary().member_index().clone()),
-                            );
-                            replay_liveness_telemetry(
-                                telemetry,
-                                callgraph.reachable_count(),
-                                &snap.liveness_counters,
-                            );
-                            liveness_ns = live_start.elapsed().as_nanos() as u64;
-                            schedule = Some(snap.schedule.clone());
-                            scan_counters = Some(snap.liveness_counters);
-                            fixpoint_reused = true;
-                            replayed = Some((callgraph, liveness));
-                        }
-                        Err(reason) => {
-                            // Structurally impossible after the gate; if
-                            // it ever fires, fall back to a fresh run.
-                            drop(cg_span);
-                            telemetry.event(
-                                EventClass::Observational,
-                                "snapshot_rejected",
-                                || vec![("reason", reason.as_str().into())],
-                            );
-                        }
-                    }
-                }
-                let (callgraph, liveness) = match replayed {
-                    Some(pair) => pair,
-                    None => {
-                        let cg_start = Instant::now();
-                        let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                        let (callgraph, fresh_schedule) = CallGraph::build_from_summary_schedule(
-                            program,
-                            linked.summary(),
-                            &cg_options,
-                            telemetry,
-                        )
+                let (liveness, fresh_counters) =
+                    DeadMemberAnalysis::new(program, config.clone())
+                        .run_summary_counted(linked.summary(), &callgraph, telemetry)
                         .map_err(attribute)?;
-                        drop(cg_span);
-                        callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-                        let live_start = Instant::now();
-                        let (liveness, fresh_counters) =
-                            DeadMemberAnalysis::new(program, config.clone())
-                                .run_summary_counted(linked.summary(), &callgraph, telemetry)
-                                .map_err(attribute)?;
-                        liveness_ns = live_start.elapsed().as_nanos() as u64;
-                        schedule = Some(fresh_schedule);
-                        scan_counters = Some(fresh_counters);
-                        (callgraph, liveness)
-                    }
-                };
-                let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
-                let used = linked.summary().used_classes(program).map_err(attribute)?;
-                drop(used_span);
-                (callgraph, liveness, used)
+                liveness_ns = live_start.elapsed().as_nanos() as u64;
+                (callgraph, liveness, fresh_schedule, fresh_counters)
             }
         };
+        let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
+        let used = linked.summary().used_classes(program).map_err(attribute)?;
+        drop(used_span);
 
         // Debug builds cross-check every replayed fixpoint against a
         // fresh one, bit for bit: graph, schedule, classification,
@@ -839,13 +805,10 @@ impl ProjectPipeline {
             // freshly added functions included — so its size may
             // legitimately drift under a gate-passing edit. It feeds
             // exec stats only, never the deterministic stream.
-            if let Some(stored) = schedule.as_ref() {
-                fresh_schedule.interned_symbols = stored.interned_symbols;
-                fresh_schedule.arena_bytes = stored.arena_bytes;
-            }
+            fresh_schedule.interned_symbols = schedule.interned_symbols;
+            fresh_schedule.arena_bytes = schedule.arena_bytes;
             debug_assert_eq!(
-                Some(&fresh_schedule),
-                schedule.as_ref(),
+                fresh_schedule, schedule,
                 "replayed schedule diverged from a fresh fixpoint"
             );
             let (fresh_liveness, fresh_counters) = DeadMemberAnalysis::new(program, config.clone())
@@ -861,8 +824,7 @@ impl ProjectPipeline {
                 "replayed origins diverged from a fresh scan"
             );
             debug_assert_eq!(
-                Some(fresh_counters),
-                scan_counters,
+                fresh_counters, scan_counters,
                 "replayed scan counters diverged from a fresh scan"
             );
         }
@@ -875,7 +837,6 @@ impl ProjectPipeline {
         };
         let frontier_fns = delta.as_ref().map_or(0, |d| d.frontier_len() as u64);
         telemetry.update_stats(|s| {
-            s.engine = engine.to_string();
             s.jobs = jobs as u64;
             s.bodies_walked += body_walk_count() - walks_before;
             s.tu_modules = inputs.len() as u64;
@@ -892,24 +853,7 @@ impl ProjectPipeline {
             s.snapshot_reused_fns += reused_fns;
             s.snapshot_frontier_fns += frontier_fns;
         });
-        let mut tail = Counters::default();
-        tail.reachable_functions = callgraph.reachable_count() as u64;
-        tail.callgraph_edges = callgraph.edge_count() as u64;
-        tail.instantiated_classes = callgraph.instantiated().len() as u64;
-        for (cid, class) in program.classes() {
-            for idx in 0..class.members.len() {
-                let m = ddm_hierarchy::MemberRef::new(cid, idx);
-                if liveness.is_unclassifiable(m) {
-                    tail.members_unclassifiable += 1;
-                } else if liveness.is_live(m) {
-                    tail.members_live += 1;
-                } else {
-                    tail.members_dead += 1;
-                }
-            }
-        }
-        telemetry.add_counters(&tail);
-        emit_classification_event(telemetry, &tail);
+        record_classification(program, &callgraph, &liveness, telemetry);
 
         // --- Snapshot write-back (best-effort, atomic). Skipped when
         // nothing changed and the fixpoint was replayed: the published
@@ -917,42 +861,39 @@ impl ProjectPipeline {
         if let Some(dir) = cache {
             let unchanged = delta.as_ref().is_some_and(|d| d.is_empty());
             if !(unchanged && fixpoint_reused) {
-                if let (Some(schedule), Some(scan_counters)) = (&schedule, &scan_counters) {
-                    let _snap_span =
-                        telemetry.span(LANE_MAIN, || "snapshot write".to_string());
-                    let snap = AnalysisSnapshot {
-                        fingerprint: snap_fingerprint.clone(),
-                        source_hashes: hashes.clone(),
-                        summary_bytes: modules
-                            .iter()
-                            .zip(&byte_lens)
-                            .map(|(m, len)| {
-                                len.unwrap_or_else(|| m.to_json(&fingerprint).len() as u64)
-                            })
-                            .collect(),
-                        // The module list is dead after this point, so
-                        // the snapshot takes it instead of cloning it.
-                        modules: std::mem::take(&mut modules),
-                        reachable_names: callgraph
-                            .reachable()
-                            .map(|f| (f.index() as u32, program.func_display_name(f)))
-                            .collect(),
-                        class_count: program.class_count() as u32,
-                        function_count: program.function_count() as u32,
-                        callgraph: callgraph.to_parts(),
-                        schedule: schedule.clone(),
-                        liveness: liveness.to_parts(),
-                        liveness_counters: *scan_counters,
-                    };
-                    let _ = std::fs::create_dir_all(dir);
-                    snap.save(dir);
-                    telemetry.event(EventClass::Observational, "snapshot_publish", || {
-                        vec![
-                            ("tus", snap.source_hashes.len().into()),
-                            ("functions", u64::from(snap.function_count).into()),
-                        ]
-                    });
-                }
+                let _snap_span = telemetry.span(LANE_MAIN, || "snapshot write".to_string());
+                let snap = AnalysisSnapshot {
+                    fingerprint: snap_fingerprint.clone(),
+                    source_hashes: hashes.clone(),
+                    summary_bytes: modules
+                        .iter()
+                        .zip(&byte_lens)
+                        .map(|(m, len)| {
+                            len.unwrap_or_else(|| m.to_json(&fingerprint).len() as u64)
+                        })
+                        .collect(),
+                    // The module list is dead after this point, so
+                    // the snapshot takes it instead of cloning it.
+                    modules: std::mem::take(&mut modules),
+                    reachable_names: callgraph
+                        .reachable()
+                        .map(|f| (f.index() as u32, program.func_display_name(f)))
+                        .collect(),
+                    class_count: program.class_count() as u32,
+                    function_count: program.function_count() as u32,
+                    callgraph: callgraph.to_parts(),
+                    schedule,
+                    liveness: liveness.to_parts(),
+                    liveness_counters: scan_counters,
+                };
+                let _ = std::fs::create_dir_all(dir);
+                snap.save(dir);
+                telemetry.event(EventClass::Observational, "snapshot_publish", || {
+                    vec![
+                        ("tus", snap.source_hashes.len().into()),
+                        ("functions", u64::from(snap.function_count).into()),
+                    ]
+                });
             }
         }
 
@@ -969,7 +910,6 @@ impl ProjectPipeline {
             liveness,
             used,
             config,
-            engine,
             counters: telemetry.counters(),
         }))
     }
@@ -1020,11 +960,6 @@ impl ProjectPipeline {
         self.snapshot.config()
     }
 
-    /// The engine the run used.
-    pub fn engine(&self) -> Engine {
-        self.snapshot.engine()
-    }
-
     /// Builds the report over the linked program.
     pub fn report(&self) -> Report {
         self.snapshot.report()
@@ -1059,18 +994,13 @@ public:
         ]
     }
 
-    fn run(
-        inputs: &[(String, String)],
-        engine: Engine,
-        jobs: usize,
-        cache: Option<&Path>,
-    ) -> ProjectPipeline {
+    fn run(inputs: &[(String, String)], jobs: usize, cache: Option<&Path>) -> ProjectPipeline {
         ProjectPipeline::run(
             inputs,
             AnalysisConfig::default(),
             Algorithm::Rta,
             jobs,
-            engine,
+            Engine::Summary,
             cache,
             &Telemetry::disabled(),
         )
@@ -1078,15 +1008,13 @@ public:
     }
 
     #[test]
-    fn engines_and_worker_counts_agree_on_the_linked_report() {
+    fn worker_counts_agree_on_the_linked_report() {
         let inputs = inputs();
-        let reference = run(&inputs, Engine::Summary, 1, None).report().to_string();
+        let reference = run(&inputs, 1, None).report().to_string();
         assert!(reference.contains("Sensor"));
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 4] {
-                let got = run(&inputs, engine, jobs, None).report().to_string();
-                assert_eq!(got, reference, "engine={engine} jobs={jobs}");
-            }
+        for jobs in [2, 4] {
+            let got = run(&inputs, jobs, None).report().to_string();
+            assert_eq!(got, reference, "jobs={jobs}");
         }
     }
 
@@ -1097,14 +1025,9 @@ public:
             .unwrap()
             .report()
             .to_string();
-        let project = run(
-            &[("one.cpp".to_string(), src)],
-            Engine::Summary,
-            1,
-            None,
-        )
-        .report()
-        .to_string();
+        let project = run(&[("one.cpp".to_string(), src)], 1, None)
+            .report()
+            .to_string();
         assert_eq!(project, single);
     }
 

@@ -284,7 +284,8 @@ mod tests {
     use crate::analysis::{AnalysisConfig, DeadMemberAnalysis};
     use ddm_callgraph::{CallGraph, CallGraphOptions};
     use ddm_cppfront::parse;
-    use ddm_hierarchy::{used_classes, MemberLookup};
+    use ddm_hierarchy::ProgramSummary;
+    use ddm_telemetry::Telemetry;
 
     fn report(src: &str) -> Report {
         report_with(src, AnalysisConfig::default())
@@ -293,12 +294,15 @@ mod tests {
     fn report_with(src: &str, config: AnalysisConfig) -> Report {
         let tu = parse(src).expect("parse");
         let program = Program::build(&tu).expect("sema");
-        let lookup = MemberLookup::new(&program);
-        let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-        let liveness = DeadMemberAnalysis::new(&program, config)
-            .run(&graph)
+        let quiet = Telemetry::disabled();
+        let summary = ProgramSummary::build(&program, false, 1);
+        let options = CallGraphOptions::default();
+        let (graph, _) =
+            CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet).unwrap();
+        let (liveness, _) = DeadMemberAnalysis::new(&program, config)
+            .run_summary_counted(&summary, &graph, &quiet)
             .unwrap();
-        let used = used_classes(&program, &lookup).unwrap();
+        let used = summary.used_classes(&program).unwrap();
         Report::new(&program, &liveness, &used)
     }
 

@@ -44,7 +44,6 @@
 
 use crate::analysis::AnalysisConfig;
 use crate::epoch::EpochCell;
-use crate::pipeline::Engine;
 use crate::project::ProjectPipeline;
 use ddm_callgraph::Algorithm;
 use ddm_telemetry::{json, EventClass, Telemetry};
@@ -67,8 +66,6 @@ pub struct ServeOptions {
     /// Worker count: sizes the analysis pool *and* the query reader
     /// pool.
     pub jobs: usize,
-    /// Analysis engine (only [`Engine::Summary`] consults the cache).
-    pub engine: Engine,
     /// Persistent cache directory; enables the PR-9 incremental path
     /// (per-TU summary cache + `analysis.snap` warm starts).
     pub cache_dir: Option<PathBuf>,
@@ -194,7 +191,6 @@ fn run_build(opts: &ServeOptions, files: &[String], shared: &Shared) -> Result<u
         opts.config.clone(),
         opts.algorithm,
         opts.jobs.max(1),
-        opts.engine,
         opts.cache_dir.as_deref(),
         &telemetry,
         epoch,
@@ -313,20 +309,22 @@ pub fn serve(
 
         // Builder: the only thread that runs the pipeline or stores the
         // cell. Processes jobs in order; each success publishes the
-        // next epoch.
-        scope.spawn(move || {
-            while let Ok(job) = build_rx.recv() {
-                let result = run_build(opts, &job.files, shared);
-                if let Err(e) = &result {
-                    shared.last_build.lock().expect("build info poisoned").error =
-                        Some(e.clone());
+        // next epoch. It parses, so it gets the analysis stack.
+        ddm_hierarchy::analysis_thread()
+            .spawn_scoped(scope, move || {
+                while let Ok(job) = build_rx.recv() {
+                    let result = run_build(opts, &job.files, shared);
+                    if let Err(e) = &result {
+                        shared.last_build.lock().expect("build info poisoned").error =
+                            Some(e.clone());
+                    }
+                    shared.pending_builds.fetch_sub(1, Ordering::SeqCst);
+                    if let Some(done) = job.done {
+                        let _ = done.send(result);
+                    }
                 }
-                shared.pending_builds.fetch_sub(1, Ordering::SeqCst);
-                if let Some(done) = job.done {
-                    let _ = done.send(result);
-                }
-            }
-        });
+            })
+            .expect("spawn serve builder thread");
 
         let mut seq = 0u64;
         let mut files: Vec<String> = Vec::new();
@@ -517,6 +515,7 @@ pub fn serve(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pipeline::Engine;
     use std::io::Cursor;
 
     fn temp_project(tag: &str) -> (std::path::PathBuf, Vec<String>) {
@@ -551,7 +550,6 @@ mod tests {
             config: AnalysisConfig::default(),
             algorithm: Algorithm::Rta,
             jobs: 2,
-            engine: Engine::Summary,
             cache_dir: None,
             log_out: None,
             log_filter: None,
@@ -634,6 +632,26 @@ mod tests {
         assert_eq!(field(&responses[4], "epoch").as_int(), Some(1));
         assert_eq!(field(&responses[4], "building").as_bool(), Some(false));
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_deeply_nested_request_line_is_a_bad_request_not_a_crash() {
+        let responses = drive(
+            &default_opts(),
+            &["[".repeat(100_000), "{\"cmd\":\"shutdown\"}".to_string()],
+        );
+        assert_eq!(responses.len(), 2);
+        assert_eq!(field(&responses[0], "error").as_str(), Some("bad_request"));
+        assert!(
+            field(&responses[0], "message")
+                .as_str()
+                .expect("message")
+                .contains("nesting deeper than 128"),
+            "{}",
+            responses[0].render()
+        );
+        assert_eq!(field(&responses[1], "ok").as_bool(), Some(true));
+        assert_eq!(field(&responses[1], "cmd").as_str(), Some("shutdown"));
     }
 
     #[test]

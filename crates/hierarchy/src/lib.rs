@@ -60,9 +60,9 @@ pub use module::{
 };
 pub use subobject::{Subobject, SubobjectId, SubobjectTree};
 pub use summary::{
-    classify_cast, extract_function, strip_indirections, CastSafety, CgStep, DeleteSite, FnSummary,
-    LiveStep, MarkAllCause, MemberAccessKind, MemberBitSet, MemberIndex, ProgramSummary,
-    VirtualSite, EXTRACTION_SHARD_THRESHOLD,
+    classify_cast, strip_indirections, CastSafety, CgStep, DeleteSite, FnSummary, LiveStep,
+    MarkAllCause, MemberAccessKind, MemberBitSet, MemberIndex, ProgramSummary, VirtualSite,
+    EXTRACTION_SHARD_THRESHOLD,
 };
 pub use typewalk::{
     body_walk_count, resolve_ctor, walk_function, walk_globals, Builtin, CallEvent, CallTarget,
@@ -70,3 +70,16 @@ pub use typewalk::{
     TypeError, TypeErrorKind,
 };
 pub use used::{data_members_in_used_classes, used_classes};
+
+/// Stack size of every analysis thread: the TU front-end workers, the
+/// summary extraction shards, the batch-mode workers, and the serve
+/// builder. It is the Linux main-thread default. The parser and the body
+/// walkers recurse once per nesting level, so on Rust's 2 MiB spawn
+/// default a worker overflowed on sources the main thread analyses.
+pub const ANALYSIS_STACK_BYTES: usize = 8 << 20;
+
+/// A thread builder with [`ANALYSIS_STACK_BYTES`] of stack, for spawning
+/// any thread that parses or walks bodies.
+pub fn analysis_thread() -> std::thread::Builder {
+    std::thread::Builder::new().stack_size(ANALYSIS_STACK_BYTES)
+}

@@ -142,7 +142,7 @@ fn pair(a: String, b: String) -> (String, String) {
 /// Links `modules` into one program. `parsed[t]`, when present, is the
 /// per-TU [`Program`] that `modules[t]` was extracted from; its function
 /// bodies and global initializers are injected into the linked model
-/// (the walk engine needs them). For cache-warm TUs pass `None`:
+/// (the walk reference needs them). For cache-warm TUs pass `None`:
 /// analysis-equivalent stand-ins are synthesized (same arity, same
 /// body-presence, same initializer-presence — everything the summary
 /// engine observes).

@@ -19,7 +19,7 @@
 //! every fact that depends on the evolving call graph (which dispatch
 //! candidates are instantiated, whether a site has any target yet) is
 //! recorded symbolically and replayed by the propagation phase. That
-//! split is what lets the summary engine reproduce the walk engine's
+//! split is what lets the summary engine reproduce the walk reference's
 //! results bit for bit without ever touching an AST twice.
 //!
 //! The module also provides the dense program-wide member numbering
@@ -245,7 +245,7 @@ pub struct DeleteSite {
     pub ancestor_dtors: Vec<FuncId>,
 }
 
-/// One call-graph fact, in body order. Order matters: the walk engine
+/// One call-graph fact, in body order. Order matters: the walk reference
 /// interleaves instantiations and dispatch decisions, and the replay must
 /// observe the instantiated set in the same intermediate states.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -359,7 +359,7 @@ pub fn strip_indirections(ty: &Type) -> &Type {
 /// [`MemberIndex`], and the per-class containment closures.
 ///
 /// Walk errors are stored per function rather than failing the build, so
-/// each consuming phase surfaces the same error the walk engine would
+/// each consuming phase surfaces the same error the walk reference would
 /// surface at the same point in its own schedule.
 #[derive(Debug, Clone)]
 pub struct ProgramSummary {
@@ -415,23 +415,25 @@ impl ProgramSummary {
                     .enumerate()
                     .map(|(shard_ix, start)| {
                         let end = (start + per_shard).min(n);
-                        scope.spawn(move || {
-                            let lane = u32::try_from(shard_ix + 1).unwrap_or(u32::MAX);
-                            let _shard = telemetry.span(lane, || {
-                                format!("extract shard {shard_ix} ({} fns)", end - start)
-                            });
-                            let lookup = MemberLookup::new(program);
-                            (start..end)
-                                .map(|i| {
-                                    extract_function(
-                                        program,
-                                        &lookup,
-                                        FuncId::from_index(i),
-                                        refine_receivers,
-                                    )
-                                })
-                                .collect::<Vec<_>>()
-                        })
+                        crate::analysis_thread()
+                            .spawn_scoped(scope, move || {
+                                let lane = u32::try_from(shard_ix + 1).unwrap_or(u32::MAX);
+                                let _shard = telemetry.span(lane, || {
+                                    format!("extract shard {shard_ix} ({} fns)", end - start)
+                                });
+                                let lookup = MemberLookup::new(program);
+                                (start..end)
+                                    .map(|i| {
+                                        extract_function(
+                                            program,
+                                            &lookup,
+                                            FuncId::from_index(i),
+                                            refine_receivers,
+                                        )
+                                    })
+                                    .collect::<Vec<_>>()
+                            })
+                            .expect("spawn summary extraction worker")
                     })
                     .collect();
                 handles
@@ -566,17 +568,11 @@ fn containment_closure(program: &Program, class: ClassId) -> Vec<ClassId> {
 
 /// Extracts the summary of one function body, walking it exactly once.
 ///
-/// Public because the call-graph fixpoint's parallel rounds pre-extract
-/// the bodies of a round's batch on worker threads and replay the
-/// summaries in slot order — the PR-2 walk-once equivalence (replaying
-/// an extracted summary observes the same events as walking the body)
-/// is what keeps that bit-identical to the sequential walk.
-///
 /// # Errors
 ///
 /// Returns the [`TypeError`] the walk produced, exactly as the walk
-/// engine would surface it at this body.
-pub fn extract_function(
+/// reference would surface it at this body.
+fn extract_function(
     program: &Program,
     lookup: &MemberLookup<'_>,
     func: FuncId,
@@ -595,7 +591,7 @@ struct Extractor<'p, 'l> {
     program: &'p Program,
     lookup: &'l MemberLookup<'p>,
     /// The function being summarized; `None` for global initializers
-    /// (whose sites the walk engine never revisits or refines).
+    /// (whose sites the walk reference never revisits or refines).
     func: Option<FuncId>,
     refine: bool,
     /// Memoized §3.1 points-to queries per receiver variable.

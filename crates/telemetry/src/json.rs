@@ -37,6 +37,7 @@ pub fn validate(s: &str) -> Result<(), String> {
         bytes: s.as_bytes(),
         pos: 0,
         lenient: false,
+        depth: 0,
     };
     p.skip_ws();
     p.value()?;
@@ -207,6 +208,7 @@ fn parse_with(s: &str, lenient: bool) -> Result<Value, String> {
         bytes: s.as_bytes(),
         pos: 0,
         lenient,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.tree_value()?;
@@ -217,13 +219,33 @@ fn parse_with(s: &str, lenient: bool) -> Result<Value, String> {
     Ok(v)
 }
 
+/// Deepest array/object nesting either parser accepts (serde_json's
+/// default recursion limit). Both parsers recurse once per level, so the
+/// cap keeps a hostile document — a serve request line of 100k `[` —
+/// from overflowing the stack; every document this repository writes is
+/// at most 6 levels deep.
+pub const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
     lenient: bool,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
+    /// Runs `inner` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested<T>(&mut self, inner: fn(&mut Self) -> Result<T, String>) -> Result<T, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.depth += 1;
+        let result = inner(self);
+        self.depth -= 1;
+        result
+    }
+
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -254,8 +276,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<(), String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => self.string(),
             Some(b't') => self.literal("true"),
             Some(b'f') => self.literal("false"),
@@ -388,8 +410,8 @@ impl Parser<'_> {
 
     fn tree_value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.tree_object(),
-            Some(b'[') => self.tree_array(),
+            Some(b'{') => self.nested(Self::tree_object),
+            Some(b'[') => self.nested(Self::tree_array),
             Some(b'"') => self.tree_string().map(Value::Str),
             Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
@@ -565,6 +587,20 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(validate(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 128"), "{err}");
+        assert!(validate(&nest(MAX_DEPTH + 1)).is_err());
+        // Far past the cap — and unterminated — is an error, not a stack
+        // overflow.
+        assert!(parse(&"[".repeat(100_000)).is_err());
+        assert!(parse_lenient(&"{\"a\":".repeat(100_000)).is_err());
+    }
 
     #[test]
     fn accepts_wellformed_documents() {

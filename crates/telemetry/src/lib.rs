@@ -6,11 +6,11 @@
 //! * **Deterministic counters** ([`Counters`]) are semantic event counts —
 //!   how many members the scan read, how many `MarkAllContainedMembers`
 //!   expansions fired, how many union-fixpoint rounds ran. They are
-//!   bit-identical across `--jobs 1..N` and across both engines
-//!   (walk/summary), so tests can assert them.
+//!   bit-identical across `--jobs 1..N` and between the summary engine
+//!   and the sequential walk reference, so tests can assert them.
 //! * **Timing spans** ([`SpanRecord`]) and **execution stats**
 //!   ([`ExecStats`]) are observational — wall-clock phase timings, worker
-//!   lanes, round counts, whether the sequential fast path fired. They
+//!   lanes, round counts, cache hits. They
 //!   describe *how* a particular run executed and are never asserted for
 //!   equality across configurations.
 //!
@@ -41,12 +41,12 @@ use std::time::Instant;
 pub const LANE_MAIN: u32 = 0;
 
 /// Deterministic event counts: identical for every `--jobs` value and
-/// both engines on the same input and configuration.
+/// between the summary engine and the walk reference on the same input
+/// and configuration.
 ///
 /// Scan counters count *marking attempts* (events the paper's rules
-/// fire on), not fresh marks: attempts partition across shards, so their
-/// sum is independent of how the reachable set is sliced, while fresh
-/// marks would depend on which shard saw a member first.
+/// fire on), not fresh marks, so they do not depend on the order in
+/// which members were first marked.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct Counters {
     /// Functions reachable in the call graph.
@@ -57,7 +57,7 @@ pub struct Counters {
     pub instantiated_classes: u64,
     /// Call-graph delta-worklist pops (first processings + readied-site
     /// drain slots). Both builders drive the same schedule, so the count
-    /// is engine- and jobs-independent.
+    /// is builder- and jobs-independent.
     pub cg_worklist_pops: u64,
     /// Widened dispatch edges drained from readied sites after their
     /// receiver classes became instantiated.
@@ -92,8 +92,7 @@ pub struct Counters {
 impl Counters {
     /// Adds `other` into `self`, field-wise. Contributions come from
     /// disjoint phases (scan counters from the analysis, graph and
-    /// classification totals from the pipeline), merged in a fixed order
-    /// like `Liveness::merge`.
+    /// classification totals from the pipeline), added in a fixed order.
     pub fn add(&mut self, other: &Counters) {
         for ((_, a), (_, b)) in self.rows_mut().into_iter().zip(other.rows()) {
             *a += b;
@@ -161,12 +160,10 @@ impl Counters {
 }
 
 /// Observational execution shape: how *this* run happened to execute.
-/// Varies with `--jobs`, the engine, and scheduling; never asserted for
-/// cross-configuration equality.
+/// Varies with `--jobs`, the cache state, and scheduling; never asserted
+/// for cross-configuration equality.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Engine name ("walk" / "summary").
-    pub engine: String,
     /// Requested worker count.
     pub jobs: u64,
     /// Function/global bodies traversed (AST walks).
@@ -175,20 +172,11 @@ pub struct ExecStats {
     pub summary_replays: u64,
     /// Call-graph fixpoint rounds.
     pub callgraph_rounds: u64,
-    /// Liveness scan rounds (sequential scan: 1).
+    /// Liveness scan rounds (one per scan).
     pub scan_rounds: u64,
-    /// Shards the scan was split into (sequential scan: 1).
-    pub scan_shards: u64,
-    /// Whether `run_jobs` fell back to the sequential scan because the
-    /// program is below the function-count threshold.
-    pub scan_sequential_fastpath: bool,
-    /// `Liveness::merge` reductions performed by the coordinator.
-    pub liveness_merges: u64,
     /// Pending-dispatch worklist registrations in the summary call-graph
     /// builder.
     pub worklist_pushes: u64,
-    /// Worker idle→busy transitions (one per scan command processed).
-    pub worker_busy_transitions: u64,
     /// Translation units in the project (multi-TU runs; single-TU: 0).
     pub tu_modules: u64,
     /// Per-TU summary modules served from the persistent cache.
@@ -236,17 +224,14 @@ pub struct ExecStats {
 
 impl ExecStats {
     /// Stable (key, value) view of the numeric fields, in rendering order.
-    pub fn rows(&self) -> [(&'static str, u64); 25] {
+    pub fn rows(&self) -> [(&'static str, u64); 22] {
         [
             ("jobs", self.jobs),
             ("bodies_walked", self.bodies_walked),
             ("summary_replays", self.summary_replays),
             ("callgraph_rounds", self.callgraph_rounds),
             ("scan_rounds", self.scan_rounds),
-            ("scan_shards", self.scan_shards),
-            ("liveness_merges", self.liveness_merges),
             ("worklist_pushes", self.worklist_pushes),
-            ("worker_busy_transitions", self.worker_busy_transitions),
             ("tu_modules", self.tu_modules),
             ("tu_cache_hits", self.tu_cache_hits),
             ("tu_cache_misses", self.tu_cache_misses),
@@ -272,7 +257,7 @@ impl ExecStats {
 /// trace model).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
-    /// Phase name, e.g. `"parse"` or `"scan round 0 shard 2 (11 fns)"`.
+    /// Phase name, e.g. `"parse"` or `"extract shard 2 (1024 fns)"`.
     pub name: String,
     /// 0 = coordinator, `1..=N` = worker lanes.
     pub lane: u32,
@@ -596,10 +581,6 @@ impl Telemetry {
         out.push_str("{\n");
         out.push_str("  \"schema\": \"ddm-stats/1\",\n");
         let stats = self.stats();
-        out.push_str(&format!(
-            "  \"engine\": \"{}\",\n",
-            json::escape(&stats.engine)
-        ));
         out.push_str("  \"counters\": {");
         let counter_rows = self.counters().rows();
         for (i, (key, value)) in counter_rows.iter().enumerate() {
@@ -615,8 +596,7 @@ impl Telemetry {
             out.push_str(&format!("\"{key}\": {value}, "));
         }
         out.push_str(&format!(
-            "\"scan_sequential_fastpath\": {}, \"cg_round_deltas\": [{}]}},\n",
-            stats.scan_sequential_fastpath,
+            "\"cg_round_deltas\": [{}]}},\n",
             stats
                 .cg_round_deltas
                 .iter()
@@ -677,14 +657,9 @@ impl Telemetry {
         out.push_str(&self.counters().render_table());
         out.push_str("== execution stats ==\n");
         let stats = self.stats();
-        out.push_str(&format!("{:<44} {:>12}\n", "engine", stats.engine));
         for (key, value) in stats.rows() {
             out.push_str(&format!("{key:<44} {value:>12}\n"));
         }
-        out.push_str(&format!(
-            "{:<44} {:>12}\n",
-            "scan_sequential_fastpath", stats.scan_sequential_fastpath
-        ));
         let deltas = stats
             .cg_round_deltas
             .iter()
@@ -879,17 +854,14 @@ mod tests {
             members_dead: 3,
             ..Default::default()
         });
-        t.update_stats(|s| {
-            s.engine = "summary".into();
-            s.jobs = 8;
-        });
+        t.update_stats(|s| s.jobs = 8);
         let table = t.render_stats();
         for needle in [
             "phase spans",
             "deterministic counters",
             "execution stats",
             "members_dead",
-            "summary",
+            "jobs",
             "parse",
         ] {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");

@@ -54,7 +54,6 @@ fn run(cache: Option<&PathBuf>, fault: Option<&str>) -> std::process::Output {
     for f in multi_fixture() {
         cmd.arg(f);
     }
-    cmd.arg("--engine").arg("summary");
     if let Some(dir) = cache {
         cmd.arg("--cache-dir").arg(dir);
     }
@@ -179,9 +178,7 @@ fn concurrent_writers_sharing_one_cache_dir_agree_with_cold() {
             for f in multi_fixture() {
                 cmd.arg(f);
             }
-            cmd.arg("--engine")
-                .arg("summary")
-                .arg("--cache-dir")
+            cmd.arg("--cache-dir")
                 .arg(&scratch.0)
                 .env_remove("DDM_CACHE_FAULT")
                 .stdout(std::process::Stdio::piped())
@@ -303,9 +300,7 @@ fn concurrent_writers_never_publish_a_torn_snapshot() {
             for f in multi_fixture() {
                 cmd.arg(f);
             }
-            cmd.arg("--engine")
-                .arg("summary")
-                .arg("--cache-dir")
+            cmd.arg("--cache-dir")
                 .arg(&scratch.0)
                 .env_remove("DDM_CACHE_FAULT")
                 .stdout(std::process::Stdio::piped())

@@ -102,7 +102,6 @@ fn help_lists_every_flag_from_the_table() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     for flag in [
         "--callgraph",
-        "--engine",
         "--jobs",
         "--library",
         "--sizeof-conservative",
@@ -325,7 +324,6 @@ fn value_flags_reject_a_following_flag_as_their_value() {
         "--explain",
         "--library",
         "--callgraph",
-        "--engine",
         "--jobs",
         "--cache-dir",
         "--stats-json",
@@ -403,8 +401,6 @@ fn warm_cli_run_is_byte_identical_to_cold_and_skips_summarization() {
         ddm()
             .arg(&main)
             .arg(&lib)
-            .arg("--engine")
-            .arg("summary")
             .arg("--cache-dir")
             .arg(&cache)
             .arg("--stats")
@@ -456,11 +452,11 @@ fn project_mode_rejects_single_file_only_flags() {
 fn explain_is_identical_across_engines_via_cli() {
     let src = write_temp("explain_engines", SAMPLE);
     let mut outputs = Vec::new();
-    for engine in ["walk", "summary"] {
+    for jobs in ["1", "8"] {
         let out = ddm()
             .arg(&src)
-            .arg("--engine")
-            .arg(engine)
+            .arg("--jobs")
+            .arg(jobs)
             .arg("--explain")
             .arg("A::live")
             .output()
@@ -468,8 +464,22 @@ fn explain_is_identical_across_engines_via_cli() {
         assert!(out.status.success(), "{out:?}");
         outputs.push(out.stdout);
     }
+    assert_eq!(outputs[0], outputs[1], "explain output differs across --jobs");
+    // The CLI's summary engine must print what the walk reference
+    // explains in-process.
+    let walked = ddm_bench::reference::analyze(
+        SAMPLE,
+        &ddm_bench::suite_analysis_config(),
+        dead_data_members::callgraph::Algorithm::Rta,
+        &dead_data_members::telemetry::Telemetry::disabled(),
+    )
+    .expect("walk reference");
+    let (program, callgraph, liveness) = (walked.program(), walked.callgraph(), walked.liveness());
+    let expected = dead_data_members::analysis::explain(program, callgraph, liveness, "A::live")
+        .expect("known member");
     assert_eq!(
-        outputs[0], outputs[1],
-        "explain output differs between engines"
+        String::from_utf8_lossy(&outputs[0]),
+        expected,
+        "CLI explain differs from the walk reference"
     );
 }

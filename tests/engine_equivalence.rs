@@ -1,14 +1,16 @@
-//! Differential harness for the two analysis engines.
+//! Differential harness: the analysis engine against the sequential walk
+//! reference.
 //!
 //! The summary engine (walk-once extraction + propagation over
-//! [`ProgramSummary`]) must be bit-identical to the retained walk engine
-//! on every observable: the liveness classification (live set, recorded
-//! reasons, unclassifiable set), the call graph (reachable set,
-//! instantiated set, edges), and the byte-for-byte rendered report.
-//! The comparison runs across every bundled benchmark program, every
-//! call-graph algorithm, both worker counts, every configuration gate
-//! the engines resolve at different times (down-casts, `sizeof`,
-//! library classes), and a seeded sweep of generated programs.
+//! [`ProgramSummary`]) must be bit-identical to the walk reference
+//! ([`ddm_bench::reference`]) on every observable: the liveness
+//! classification (live set, recorded reasons, unclassifiable set), the
+//! call graph (reachable set, instantiated set, edges), and the
+//! byte-for-byte rendered report. The comparison runs across every
+//! bundled benchmark program, every call-graph algorithm, both worker
+//! counts, every configuration gate the two resolve at different times
+//! (down-casts, `sizeof`, library classes), and a seeded sweep of
+//! generated programs.
 
 use dead_data_members::analysis::Engine;
 use dead_data_members::benchmarks::generator::{generate, GeneratorConfig};
@@ -50,40 +52,36 @@ fn suite_config() -> AnalysisConfig {
     }
 }
 
-/// Asserts that the walk and summary engines agree on every observable
-/// for one (source, config, algorithm) triple, at both worker counts.
+/// Asserts that the summary engine agrees with the walk reference on
+/// every observable for one (source, config, algorithm) triple, at both
+/// worker counts.
 fn assert_engines_agree(label: &str, source: &str, config: &AnalysisConfig, algorithm: Algorithm) {
     let reference =
-        AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, 1, Engine::Walk)
-            .unwrap_or_else(|e| panic!("{label}: walk engine failed: {e}"));
+        ddm_bench::reference::analyze(source, config, algorithm, &Telemetry::disabled())
+            .unwrap_or_else(|e| panic!("{label}: walk reference failed: {e}"));
     let reference_report = reference.report().to_string();
-    for (engine, jobs) in [
-        (Engine::Walk, 8),
-        (Engine::Summary, 1),
-        (Engine::Summary, 8),
-    ] {
-        let run =
-            AnalysisPipeline::with_config_engine(source, config.clone(), algorithm, jobs, engine)
-                .unwrap_or_else(|e| panic!("{label}: {engine} jobs={jobs} failed: {e}"));
+    for jobs in [1, 8] {
+        let run = AnalysisPipeline::with_config_jobs(source, config.clone(), algorithm, jobs)
+            .unwrap_or_else(|e| panic!("{label}: summary jobs={jobs} failed: {e}"));
         assert_eq!(
             reference.liveness(),
             run.liveness(),
-            "{label}: liveness diverged ({engine}, jobs={jobs}, {algorithm})"
+            "{label}: liveness diverged (jobs={jobs}, {algorithm})"
         );
         assert_eq!(
             reference.callgraph(),
             run.callgraph(),
-            "{label}: call graph diverged ({engine}, jobs={jobs}, {algorithm})"
+            "{label}: call graph diverged (jobs={jobs}, {algorithm})"
         );
         assert_eq!(
             reference.used(),
             run.used(),
-            "{label}: used-class set diverged ({engine}, jobs={jobs}, {algorithm})"
+            "{label}: used-class set diverged (jobs={jobs}, {algorithm})"
         );
         assert_eq!(
             reference_report,
             run.report().to_string(),
-            "{label}: rendered report diverged ({engine}, jobs={jobs}, {algorithm})"
+            "{label}: rendered report diverged (jobs={jobs}, {algorithm})"
         );
     }
 }
@@ -196,8 +194,17 @@ fn engines_agree_on_generated_programs() {
 
 #[test]
 fn summary_engine_is_the_default() {
-    let run = AnalysisPipeline::from_source("int main() { return 0; }").expect("pipeline");
-    assert_eq!(run.engine(), Engine::Summary);
-    assert_eq!(Engine::Summary.to_string(), "summary");
-    assert_eq!(Engine::Walk.to_string(), "walk");
+    assert_eq!(Engine::default(), Engine::Summary);
+    let source = "class A { public: int live; int dead; };\n\
+                  int main() { A a; a.dead = 1; return a.live; }";
+    let run = AnalysisPipeline::from_source(source).expect("pipeline");
+    let reference = ddm_bench::reference::analyze(
+        source,
+        &AnalysisConfig::default(),
+        Algorithm::Rta,
+        &Telemetry::disabled(),
+    )
+    .expect("walk reference");
+    assert_eq!(run.report().dead_member_names(), vec!["A::dead"]);
+    assert_eq!(run.report().to_string(), reference.report().to_string());
 }

@@ -1,5 +1,6 @@
 //! The flight recorder's core contract: the deterministic event class
-//! is byte-identical across worker counts, engines, and cache state —
+//! is byte-identical across worker counts, cache state, and the
+//! sequential walk reference —
 //! the same discipline `Counters` already obeys — while turning the
 //! recorder (and the metrics registry) on changes no analysis output.
 
@@ -54,17 +55,28 @@ fn multi_tu_inputs() -> Vec<(String, String)> {
 
 /// Runs the single-file pipeline with the full recorder on and returns
 /// (deterministic NDJSON, metrics JSON).
-fn record_single(source: &str, jobs: usize, engine: Engine) -> (String, String) {
+fn record_single(source: &str, jobs: usize) -> (String, String) {
     let telemetry = Telemetry::recording();
     AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
         &telemetry,
     )
     .expect("pipeline");
+    recorded(&telemetry)
+}
+
+/// The same recording, from the sequential walk reference.
+fn record_reference(source: &str) -> (String, String) {
+    let telemetry = Telemetry::recording();
+    ddm_bench::reference::analyze(source, &AnalysisConfig::default(), Algorithm::Rta, &telemetry)
+        .expect("walk reference");
+    recorded(&telemetry)
+}
+
+fn recorded(telemetry: &Telemetry) -> (String, String) {
     (
         telemetry.events_ndjson(Some(EventClass::Deterministic)),
         telemetry.metrics_json(),
@@ -75,7 +87,6 @@ fn record_single(source: &str, jobs: usize, engine: Engine) -> (String, String) 
 fn record_project(
     inputs: &[(String, String)],
     jobs: usize,
-    engine: Engine,
     cache: Option<&std::path::Path>,
 ) -> Result<(Telemetry, ProjectPipeline), ProjectError> {
     let telemetry = Telemetry::recording();
@@ -84,7 +95,7 @@ fn record_project(
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         &telemetry,
     )?;
@@ -100,19 +111,17 @@ fn temp_cache(tag: &str) -> PathBuf {
 #[test]
 fn det_stream_identical_across_jobs_and_engines_on_the_suite() {
     for (name, source) in bundled_programs() {
-        let (reference, _) = record_single(&source, 1, Engine::Summary);
+        let (reference, _) = record_reference(&source);
         assert!(
             reference.contains("\"event\":\"classification\""),
             "{name}: no classification event recorded"
         );
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 8] {
-                let (stream, _) = record_single(&source, jobs, engine);
-                assert_eq!(
-                    stream, reference,
-                    "{name}: det stream diverged at engine={engine} jobs={jobs}"
-                );
-            }
+        for jobs in [1, 8] {
+            let (stream, _) = record_single(&source, jobs);
+            assert_eq!(
+                stream, reference,
+                "{name}: det stream diverged from the walk reference at jobs={jobs}"
+            );
         }
     }
 }
@@ -124,19 +133,17 @@ fn histogram_bucket_counts_identical_across_jobs_and_engines() {
     // so the whole rendered document — histogram buckets included — is
     // pinned byte-for-byte.
     for (name, source) in bundled_programs() {
-        let (_, reference) = record_single(&source, 1, Engine::Summary);
+        let (_, reference) = record_reference(&source);
         assert!(
             reference.contains("callgraph/round_delta_fns"),
             "{name}: no round-delta histogram in metrics"
         );
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 8] {
-                let (_, metrics) = record_single(&source, jobs, engine);
-                assert_eq!(
-                    metrics, reference,
-                    "{name}: metrics diverged at engine={engine} jobs={jobs}"
-                );
-            }
+        for jobs in [1, 8] {
+            let (_, metrics) = record_single(&source, jobs);
+            assert_eq!(
+                metrics, reference,
+                "{name}: metrics diverged from the walk reference at jobs={jobs}"
+            );
         }
     }
 }
@@ -149,8 +156,8 @@ fn det_stream_identical_across_cache_states_on_the_suite() {
     for (name, source) in bundled_programs().into_iter().take(4) {
         let inputs = vec![(format!("{name}.cpp"), source)];
         let cache = temp_cache(&name);
-        let (cold, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
-        let (warm, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
+        let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
+        let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
         assert!(
             warm.events_ndjson(Some(EventClass::Observational))
                 .contains("tu_cache_hit"),
@@ -169,29 +176,34 @@ fn det_stream_identical_across_cache_states_on_the_suite() {
 fn multi_tu_det_stream_identical_across_jobs_engines_and_cache() {
     let inputs = multi_tu_inputs();
     let cache = temp_cache("multi");
-    let (cold, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
+    let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
     let reference = cold.events_ndjson(Some(EventClass::Deterministic));
     assert!(
         reference.contains("\"event\":\"link_done\""),
         "no link event in the project det stream"
     );
-    // Warm cache, both worker counts, then the cacheless walk engine.
+    // Warm cache, both worker counts, then the walk reference.
     for jobs in [1, 8] {
-        let (warm, _) = record_project(&inputs, jobs, Engine::Summary, Some(&cache)).unwrap();
+        let (warm, _) = record_project(&inputs, jobs, Some(&cache)).unwrap();
         assert_eq!(
             warm.events_ndjson(Some(EventClass::Deterministic)),
             reference,
             "warm summary det stream diverged at jobs={jobs}"
         );
     }
-    for jobs in [1, 8] {
-        let (walk, _) = record_project(&inputs, jobs, Engine::Walk, None).unwrap();
-        assert_eq!(
-            walk.events_ndjson(Some(EventClass::Deterministic)),
-            reference,
-            "walk det stream diverged at jobs={jobs}"
-        );
-    }
+    let walk = Telemetry::recording();
+    ddm_bench::reference::analyze_project(
+        &inputs,
+        &AnalysisConfig::default(),
+        Algorithm::Rta,
+        &walk,
+    )
+    .expect("walk reference");
+    assert_eq!(
+        walk.events_ndjson(Some(EventClass::Deterministic)),
+        reference,
+        "walk reference det stream diverged"
+    );
     let _ = std::fs::remove_dir_all(&cache);
 }
 
@@ -209,8 +221,8 @@ fn tu_summary_size_histogram_is_cache_invariant() {
             .expect("summary-size histogram present")
             .to_string()
     };
-    let (cold, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
-    let (warm, _) = record_project(&inputs, 1, Engine::Summary, Some(&cache)).unwrap();
+    let (cold, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
+    let (warm, _) = record_project(&inputs, 1, Some(&cache)).unwrap();
     assert!(warm.stats().tu_cache_hits > 0, "warm run must hit");
     assert_eq!(
         hist_line(&cold.metrics_json()),
@@ -223,12 +235,11 @@ fn tu_summary_size_histogram_is_cache_invariant() {
 #[test]
 fn recording_changes_no_output_and_no_counters() {
     for (name, source) in bundled_programs() {
-        let plain = AnalysisPipeline::with_config_engine(
+        let plain = AnalysisPipeline::with_config_jobs(
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
-            Engine::Summary,
         )
         .expect("pipeline");
         let baseline = Telemetry::enabled();
@@ -237,7 +248,6 @@ fn recording_changes_no_output_and_no_counters() {
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
-            Engine::Summary,
             &baseline,
         )
         .expect("pipeline");
@@ -247,7 +257,6 @@ fn recording_changes_no_output_and_no_counters() {
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
-            Engine::Summary,
             &recording,
         )
         .expect("pipeline");
@@ -289,7 +298,7 @@ fn recording_changes_no_output_and_no_counters() {
 fn chrome_trace_names_lanes_and_logs_cache_probes() {
     let inputs = multi_tu_inputs();
     let cache = temp_cache("trace");
-    let (cold, _) = record_project(&inputs, 2, Engine::Summary, Some(&cache)).unwrap();
+    let (cold, _) = record_project(&inputs, 2, Some(&cache)).unwrap();
     let trace = cold.chrome_trace_json();
     dead_data_members::telemetry::json::validate(&trace)
         .unwrap_or_else(|e| panic!("trace is not valid JSON: {e}"));
@@ -299,7 +308,7 @@ fn chrome_trace_names_lanes_and_logs_cache_probes() {
         trace.contains("tu_cache_miss"),
         "cold project trace lacks cache-probe instants"
     );
-    let (warm, _) = record_project(&inputs, 2, Engine::Summary, Some(&cache)).unwrap();
+    let (warm, _) = record_project(&inputs, 2, Some(&cache)).unwrap();
     assert!(
         warm.chrome_trace_json().contains("tu_cache_hit"),
         "warm project trace lacks cache-hit instants"
@@ -316,7 +325,6 @@ fn event_classes_are_cleanly_tagged_and_filterable() {
         AnalysisConfig::default(),
         Algorithm::Rta,
         1,
-        Engine::Summary,
         &telemetry,
     )
     .expect("pipeline");

@@ -3,13 +3,16 @@
 //! reaching the reading function, or the member access itself — must
 //! flip that member to dead on the very next warm run over the same
 //! cache directory, and the incremental result must stay byte-identical
-//! to a cacheless run over the edited sources for both engines and
-//! worker counts. Liveness retraction is the hard direction for an
+//! to a cacheless run over the edited sources (and to the sequential
+//! walk reference) at every worker count. Liveness retraction is the hard direction for an
 //! incremental analysis: stale call-graph or liveness state leaking
 //! from the previous edition would keep the member alive.
 
-use dead_data_members::analysis::{explain, AnalysisConfig, Engine, ProjectPipeline};
-use dead_data_members::callgraph::Algorithm;
+use dead_data_members::analysis::{
+    explain, AnalysisConfig, Engine, Liveness, ProjectPipeline, Report,
+};
+use dead_data_members::callgraph::{Algorithm, CallGraph};
+use dead_data_members::hierarchy::Program;
 use dead_data_members::telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 
@@ -89,7 +92,6 @@ impl Drop for Scratch {
 
 fn run(
     inputs: &[(String, String)],
-    engine: Engine,
     jobs: usize,
     cache: Option<&Path>,
     telemetry: &Telemetry,
@@ -99,7 +101,7 @@ fn run(
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         telemetry,
     )
@@ -108,9 +110,19 @@ fn run(
 
 /// Report + explains + deterministic counters, as rendered text.
 fn artifacts(p: &ProjectPipeline, telemetry: &Telemetry) -> String {
-    let mut out = p.report().to_string();
+    render(p.program(), p.callgraph(), p.liveness(), &p.report(), telemetry)
+}
+
+fn render(
+    program: &Program,
+    callgraph: &CallGraph,
+    liveness: &Liveness,
+    report: &Report,
+    telemetry: &Telemetry,
+) -> String {
+    let mut out = report.to_string();
     for spec in ["Shape::kind", "Shape::tag", "Circle::radius", "Circle::cached"] {
-        out.push_str(&explain(p.program(), p.callgraph(), p.liveness(), spec).unwrap());
+        out.push_str(&explain(program, callgraph, liveness, spec).unwrap());
     }
     out.push_str(&format!("{:?}\n", telemetry.counters().rows()));
     out
@@ -137,59 +149,60 @@ fn is_dead(p: &ProjectPipeline, class: &str, member: &str) -> bool {
 /// replays the edit incrementally (cold baseline run, warm edited run
 /// over the same cache) at jobs {1, 8}, asserting the warm run hit the
 /// cache for the two unchanged TUs and produced artifacts
-/// byte-identical to the cacheless edited run — under both engines.
+/// byte-identical to the cacheless edited run, which in turn must equal
+/// the sequential walk reference over the edited sources.
 fn check_retraction(tag: &str, edited: &[(String, String)], class: &str, member: &str) {
-    let before = run(
-        &baseline_inputs(),
-        Engine::Summary,
-        1,
-        None,
-        &Telemetry::enabled(),
-    );
+    let before = run(&baseline_inputs(), 1, None, &Telemetry::enabled());
     assert!(
         !is_dead(&before, class, member),
         "{tag}: `{class}::{member}` must be live before the edit"
     );
 
     let tel = Telemetry::enabled();
-    let after = run(edited, Engine::Summary, 1, None, &tel);
+    let after = run(edited, 1, None, &tel);
     assert!(
         is_dead(&after, class, member),
         "{tag}: `{class}::{member}` must be dead after the edit (cacheless)"
     );
     let want = artifacts(&after, &tel);
 
-    for engine in [Engine::Summary, Engine::Walk] {
-        for jobs in [1usize, 8] {
-            let scratch = Scratch::new(&format!("{tag}-{engine}-{jobs}"));
-            run(
-                &baseline_inputs(),
-                engine,
-                jobs,
-                Some(scratch.path()),
-                &Telemetry::enabled(),
-            );
+    let walk_tel = Telemetry::enabled();
+    let config = AnalysisConfig::default();
+    let walked = ddm_bench::reference::analyze_project(edited, &config, Algorithm::Rta, &walk_tel)
+        .expect("walk reference");
+    assert_eq!(
+        render(
+            walked.program(),
+            walked.callgraph(),
+            walked.liveness(),
+            &walked.report(),
+            &walk_tel
+        ),
+        want,
+        "{tag}: cacheless run drifted from the walk reference"
+    );
 
-            let tel = Telemetry::enabled();
-            let p = run(edited, engine, jobs, Some(scratch.path()), &tel);
-            if engine == Engine::Summary {
-                let stats = tel.stats();
-                assert_eq!(
-                    (stats.tu_cache_hits, stats.tu_cache_misses),
-                    (2, 1),
-                    "{tag} {engine} jobs={jobs}: the edit touches exactly one TU"
-                );
-            }
-            assert_eq!(
-                artifacts(&p, &tel),
-                want,
-                "{tag} {engine} jobs={jobs}: incremental run drifted from cacheless"
-            );
-            assert!(
-                is_dead(&p, class, member),
-                "{tag} {engine} jobs={jobs}: `{class}::{member}` still live incrementally"
-            );
-        }
+    for jobs in [1usize, 8] {
+        let scratch = Scratch::new(&format!("{tag}-{jobs}"));
+        run(&baseline_inputs(), jobs, Some(scratch.path()), &Telemetry::enabled());
+
+        let tel = Telemetry::enabled();
+        let p = run(edited, jobs, Some(scratch.path()), &tel);
+        let stats = tel.stats();
+        assert_eq!(
+            (stats.tu_cache_hits, stats.tu_cache_misses),
+            (2, 1),
+            "{tag} jobs={jobs}: the edit touches exactly one TU"
+        );
+        assert_eq!(
+            artifacts(&p, &tel),
+            want,
+            "{tag} jobs={jobs}: incremental run drifted from cacheless"
+        );
+        assert!(
+            is_dead(&p, class, member),
+            "{tag} jobs={jobs}: `{class}::{member}` still live incrementally"
+        );
     }
 }
 

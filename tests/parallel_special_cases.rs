@@ -1,13 +1,14 @@
 //! Regression tests pinning the paper's special-case liveness rules
-//! *under the sharded engine*.
+//! at every worker count.
 //!
-//! The dangerous failure mode of parallelising the scan is a worker
+//! The dangerous failure mode of a parallel analysis is a worker
 //! skipping or double-applying one of Figure 2's special cases (volatile
 //! writes, `delete`/`free` exemption, unsafe-cast closure, union
-//! propagation). Each case is asserted at 1, 2, and 8 workers so a
-//! sharding bug cannot silently drop a rule; the sources spread the
-//! relevant statements over several functions so they actually land in
-//! different shards.
+//! propagation). Each case is asserted at 1, 2, and 8 workers; the
+//! sources spread the relevant statements over several functions. The
+//! tests were written against a sharded liveness scan that no longer
+//! exists — today only summary extraction shards, and only from 256
+//! functions up — so they pin that `--jobs` changes nothing.
 
 use dead_data_members::analysis::LiveReason;
 use dead_data_members::prelude::*;

@@ -3,13 +3,16 @@
 //! The contract under test: a cached run — cold, fully warm, or warm
 //! with one modified TU — produces the byte-identical report, the
 //! byte-identical `--explain` text, and the byte-identical deterministic
-//! counters as a cacheless run over the same sources, for both engines
-//! and any worker count. The cache may only change *wall-clock*, never
+//! counters as a cacheless run over the same sources — and as the
+//! sequential walk reference — at any worker count. The cache may only change *wall-clock*, never
 //! *output*. Damaged or version-skewed cache entries are detected,
 //! discarded, recomputed, and overwritten.
 
-use dead_data_members::analysis::{explain, AnalysisConfig, Engine, ProjectPipeline};
-use dead_data_members::callgraph::Algorithm;
+use dead_data_members::analysis::{
+    explain, AnalysisConfig, Engine, Liveness, ProjectPipeline, Report,
+};
+use dead_data_members::callgraph::{Algorithm, CallGraph};
+use dead_data_members::hierarchy::Program;
 use dead_data_members::telemetry::Telemetry;
 use std::path::{Path, PathBuf};
 
@@ -78,7 +81,6 @@ impl Drop for Scratch {
 
 fn run(
     inputs: &[(String, String)],
-    engine: Engine,
     jobs: usize,
     cache: Option<&Path>,
     telemetry: &Telemetry,
@@ -88,7 +90,7 @@ fn run(
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
+        Engine::Summary,
         cache,
         telemetry,
     )
@@ -97,55 +99,67 @@ fn run(
 
 /// Every observable artifact of a run, as rendered text.
 fn artifacts(p: &ProjectPipeline, telemetry: &Telemetry) -> (String, String, String) {
-    let report = p.report().to_string();
+    render(p.program(), p.callgraph(), p.liveness(), &p.report(), telemetry)
+}
+
+fn render(
+    program: &Program,
+    callgraph: &CallGraph,
+    liveness: &Liveness,
+    report: &Report,
+    telemetry: &Telemetry,
+) -> (String, String, String) {
     let mut explained = String::new();
     for spec in ["Shape::kind", "Shape::tag", "Circle::radius", "Circle::cached"] {
-        explained.push_str(&explain(p.program(), p.callgraph(), p.liveness(), spec).unwrap());
+        explained.push_str(&explain(program, callgraph, liveness, spec).unwrap());
     }
     let counters = format!("{:?}", telemetry.counters().rows());
-    (report, explained, counters)
+    (report.to_string(), explained, counters)
 }
 
 #[test]
 fn cached_runs_match_cacheless_runs_for_every_engine_and_worker_count() {
     let inputs = inputs();
-    for engine in [Engine::Walk, Engine::Summary] {
-        for jobs in [1usize, 8] {
-            let scratch = Scratch::new(&format!("matrix-{engine}-{jobs}"));
+    let walk_tel = Telemetry::enabled();
+    let config = AnalysisConfig::default();
+    let walked = ddm_bench::reference::analyze_project(&inputs, &config, Algorithm::Rta, &walk_tel)
+        .expect("walk reference");
+    let reference = render(
+        walked.program(),
+        walked.callgraph(),
+        walked.liveness(),
+        &walked.report(),
+        &walk_tel,
+    );
+    for jobs in [1usize, 8] {
+        let scratch = Scratch::new(&format!("matrix-{jobs}"));
 
-            let bare_tel = Telemetry::enabled();
-            let bare = run(&inputs, engine, jobs, None, &bare_tel);
-            let reference = artifacts(&bare, &bare_tel);
+        let bare_tel = Telemetry::enabled();
+        let bare = run(&inputs, jobs, None, &bare_tel);
+        assert_eq!(
+            artifacts(&bare, &bare_tel),
+            reference,
+            "cacheless vs walk reference: jobs={jobs}"
+        );
 
-            let cold_tel = Telemetry::enabled();
-            let cold = run(&inputs, engine, jobs, Some(scratch.path()), &cold_tel);
-            assert_eq!(
-                artifacts(&cold, &cold_tel),
-                reference,
-                "cold cached vs cacheless: engine={engine} jobs={jobs}"
-            );
+        let cold_tel = Telemetry::enabled();
+        let cold = run(&inputs, jobs, Some(scratch.path()), &cold_tel);
+        assert_eq!(
+            artifacts(&cold, &cold_tel),
+            reference,
+            "cold cached vs walk reference: jobs={jobs}"
+        );
 
-            let warm_tel = Telemetry::enabled();
-            let warm = run(&inputs, engine, jobs, Some(scratch.path()), &warm_tel);
-            assert_eq!(
-                artifacts(&warm, &warm_tel),
-                reference,
-                "warm cached vs cacheless: engine={engine} jobs={jobs}"
-            );
-            if engine == Engine::Summary {
-                assert_eq!(warm_tel.stats().tu_cache_hits, 3);
-                assert_eq!(warm_tel.stats().tus_summarized, 0);
-            } else {
-                // The walk engine re-walks bodies, so it never uses the
-                // cache — and must not populate it either.
-                assert!(!scratch.path().exists() || dir_is_empty(scratch.path()));
-            }
-        }
+        let warm_tel = Telemetry::enabled();
+        let warm = run(&inputs, jobs, Some(scratch.path()), &warm_tel);
+        assert_eq!(
+            artifacts(&warm, &warm_tel),
+            reference,
+            "warm cached vs walk reference: jobs={jobs}"
+        );
+        assert_eq!(warm_tel.stats().tu_cache_hits, 3);
+        assert_eq!(warm_tel.stats().tus_summarized, 0);
     }
-}
-
-fn dir_is_empty(dir: &Path) -> bool {
-    std::fs::read_dir(dir).map(|mut d| d.next().is_none()).unwrap_or(true)
 }
 
 #[test]
@@ -154,7 +168,6 @@ fn one_changed_tu_reanalyzes_exactly_that_tu() {
     let inputs = inputs();
     run(
         &inputs,
-        Engine::Summary,
         8,
         Some(scratch.path()),
         &Telemetry::enabled(),
@@ -165,7 +178,7 @@ fn one_changed_tu_reanalyzes_exactly_that_tu() {
     edited[2].1 = format!("{HEADER}int classify(Shape* s) {{ s->tag = 1; return s->kind + s->tag; }}");
 
     let warm_tel = Telemetry::enabled();
-    let warm = run(&edited, Engine::Summary, 8, Some(scratch.path()), &warm_tel);
+    let warm = run(&edited, 8, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
     assert_eq!(stats.tu_cache_hits, 2, "unchanged TUs must hit");
     assert_eq!(stats.tu_cache_misses, 1, "the edited TU must miss");
@@ -175,7 +188,7 @@ fn one_changed_tu_reanalyzes_exactly_that_tu() {
     // The warm partial recomputation must be indistinguishable from a
     // from-scratch cacheless run over the edited sources.
     let fresh_tel = Telemetry::enabled();
-    let fresh = run(&edited, Engine::Summary, 8, None, &fresh_tel);
+    let fresh = run(&edited, 8, None, &fresh_tel);
     assert_eq!(artifacts(&warm, &warm_tel), artifacts(&fresh, &fresh_tel));
     assert!(warm.report().to_string().contains("live tag"));
 }
@@ -186,7 +199,6 @@ fn renamed_file_with_identical_content_still_hits() {
     let inputs = inputs();
     run(
         &inputs,
-        Engine::Summary,
         1,
         Some(scratch.path()),
         &Telemetry::enabled(),
@@ -195,7 +207,7 @@ fn renamed_file_with_identical_content_still_hits() {
     let mut renamed = inputs.clone();
     renamed[1].0 = "geometry_v2.cpp".to_string();
     let tel = Telemetry::enabled();
-    run(&renamed, Engine::Summary, 1, Some(scratch.path()), &tel);
+    run(&renamed, 1, Some(scratch.path()), &tel);
     assert_eq!(tel.stats().tu_cache_hits, 3, "cache keys are content, not paths");
 }
 
@@ -205,7 +217,7 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
     let scratch = Scratch::new(test);
     let inputs = inputs();
     let cold_tel = Telemetry::enabled();
-    let cold = run(&inputs, Engine::Summary, 1, Some(scratch.path()), &cold_tel);
+    let cold = run(&inputs, 1, Some(scratch.path()), &cold_tel);
     let cold_art = artifacts(&cold, &cold_tel);
 
     // Damage the per-TU summary entries and drop the analysis snapshot:
@@ -225,7 +237,7 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
     }
 
     let warm_tel = Telemetry::enabled();
-    let warm = run(&inputs, Engine::Summary, 1, Some(scratch.path()), &warm_tel);
+    let warm = run(&inputs, 1, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
     assert_eq!(stats.tu_cache_hits, 0, "damaged entries must not hit");
     assert_eq!(stats.tu_cache_invalidations, 3);
@@ -234,7 +246,7 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
 
     // The damaged entries were overwritten with valid ones.
     let again_tel = Telemetry::enabled();
-    run(&inputs, Engine::Summary, 1, Some(scratch.path()), &again_tel);
+    run(&inputs, 1, Some(scratch.path()), &again_tel);
     assert_eq!(again_tel.stats().tu_cache_hits, 3);
     assert_eq!(again_tel.stats().tu_cache_invalidations, 0);
 }
@@ -264,7 +276,6 @@ fn fingerprint_changes_invalidate_cached_entries() {
     let inputs = inputs();
     run(
         &inputs,
-        Engine::Summary,
         1,
         Some(scratch.path()),
         &Telemetry::enabled(),

@@ -86,9 +86,8 @@ fn pta_refinement_is_also_sound() {
 
 #[test]
 fn parallel_analysis_matches_sequential_on_generated_programs() {
-    // Differential property over random programs: the sharded engine
-    // must agree with the sequential reference bit-for-bit, for every
-    // worker count.
+    // Differential property over random programs: the pipeline must
+    // agree with its jobs=1 run bit-for-bit, for every worker count.
     for (config, seed) in cases(24, 0x7A12) {
         let src = generate(&config, seed);
         let sequential = AnalysisPipeline::from_source(&src).expect("pipeline");

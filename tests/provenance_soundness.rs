@@ -25,15 +25,57 @@ fn bundled_programs() -> Vec<(String, String)> {
         .collect()
 }
 
-fn pipeline(source: &str, engine: Engine) -> AnalysisPipeline {
-    AnalysisPipeline::with_config_engine(
-        source,
-        AnalysisConfig::default(),
-        Algorithm::Rta,
-        1,
-        engine,
-    )
-    .expect("pipeline")
+/// One analysis of a source: by the summary engine, or by the
+/// sequential walk reference.
+enum Run {
+    Summary(AnalysisPipeline),
+    Walk(ddm_bench::reference::Reference),
+}
+
+impl Run {
+    fn program(&self) -> &Program {
+        match self {
+            Run::Summary(p) => p.program(),
+            Run::Walk(r) => r.program(),
+        }
+    }
+
+    fn callgraph(&self) -> &CallGraph {
+        match self {
+            Run::Summary(p) => p.callgraph(),
+            Run::Walk(r) => r.callgraph(),
+        }
+    }
+
+    fn liveness(&self) -> &Liveness {
+        match self {
+            Run::Summary(p) => p.liveness(),
+            Run::Walk(r) => r.liveness(),
+        }
+    }
+}
+
+impl std::fmt::Display for Run {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Run::Summary(_) => "summary",
+            Run::Walk(_) => "walk reference",
+        })
+    }
+}
+
+/// `source` analysed both ways.
+fn runs(source: &str) -> [Run; 2] {
+    let config = AnalysisConfig::default();
+    [
+        Run::Walk(
+            ddm_bench::reference::analyze(source, &config, Algorithm::Rta, &Telemetry::disabled())
+                .expect("walk reference"),
+        ),
+        Run::Summary(
+            AnalysisPipeline::with_config(source, config, Algorithm::Rta).expect("pipeline"),
+        ),
+    ]
 }
 
 /// Every live member of every benchmark program has an origin whose
@@ -43,8 +85,7 @@ fn pipeline(source: &str, engine: Engine) -> AnalysisPipeline {
 #[test]
 fn every_live_member_has_a_rooted_witness() {
     for (name, source) in bundled_programs() {
-        for engine in [Engine::Walk, Engine::Summary] {
-            let run = pipeline(&source, engine);
+        for run in runs(&source) {
             let program = run.program();
             let callgraph = run.callgraph();
             let liveness = run.liveness();
@@ -57,7 +98,7 @@ fn every_live_member_has_a_rooted_witness() {
                     let spec = format!("{}::{}", class.name, class.members[idx].name);
                     let origin = liveness
                         .origin(m)
-                        .unwrap_or_else(|| panic!("{name}/{engine}: {spec} live without origin"));
+                        .unwrap_or_else(|| panic!("{name}/{run}: {spec} live without origin"));
                     match origin {
                         Origin::Access { func } | Origin::MarkAll { func, .. } => {
                             let Some(func) = func else {
@@ -67,7 +108,7 @@ fn every_live_member_has_a_rooted_witness() {
                             };
                             assert!(
                                 callgraph.is_reachable(func),
-                                "{name}/{engine}: {spec} livened in unreachable function"
+                                "{name}/{run}: {spec} livened in unreachable function"
                             );
                             // Either a chain from main exists, or the
                             // function is one of the conservative roots
@@ -78,15 +119,15 @@ fn every_live_member_has_a_rooted_witness() {
                             assert!(
                                 explanation.contains("call chain: main")
                                     || explanation.contains("call-graph root"),
-                                "{name}/{engine}: {spec} witness is not rooted:\n{explanation}"
+                                "{name}/{run}: {spec} witness is not rooted:\n{explanation}"
                             );
                         }
                         Origin::Union { via, .. } => {
                             assert!(
                                 liveness.is_live(via),
-                                "{name}/{engine}: {spec} union witness is not itself live"
+                                "{name}/{run}: {spec} union witness is not itself live"
                             );
-                            assert_ne!(via, m, "{name}/{engine}: {spec} is its own union witness");
+                            assert_ne!(via, m, "{name}/{run}: {spec} is its own union witness");
                         }
                     }
                 }
@@ -99,13 +140,12 @@ fn every_live_member_has_a_rooted_witness() {
 fn dead_member_explanation_says_dead_explicitly() {
     let src = "class A { public: int w; };\n\
                int main() { A a; a.w = 1; return 0; }";
-    for engine in [Engine::Walk, Engine::Summary] {
-        let run = pipeline(src, engine);
+    for run in runs(src) {
         let text = explain(run.program(), run.callgraph(), run.liveness(), "A::w").unwrap();
-        assert!(text.contains("A::w: DEAD"), "{engine}: {text}");
+        assert!(text.contains("A::w: DEAD"), "{run}: {text}");
         assert!(
             text.contains("never read, address-taken, or otherwise livened"),
-            "{engine}: {text}"
+            "{run}: {text}"
         );
     }
 }
@@ -115,15 +155,14 @@ fn volatile_write_only_member_explains_the_volatile_rule() {
     let src = "class Dev { public: volatile int ctrl; };\n\
                void poke(Dev* d) { d->ctrl = 1; }\n\
                int main() { Dev d; poke(&d); return 0; }";
-    for engine in [Engine::Walk, Engine::Summary] {
-        let run = pipeline(src, engine);
+    for run in runs(src) {
         let text = explain(run.program(), run.callgraph(), run.liveness(), "Dev::ctrl").unwrap();
-        assert!(text.contains("LIVE (volatile write)"), "{engine}: {text}");
+        assert!(text.contains("LIVE (volatile write)"), "{run}: {text}");
         assert!(
             text.contains("written through its volatile qualifier in poke"),
-            "{engine}: {text}"
+            "{run}: {text}"
         );
-        assert!(text.contains("call chain: main -> poke"), "{engine}: {text}");
+        assert!(text.contains("call chain: main -> poke"), "{run}: {text}");
     }
 }
 
@@ -132,15 +171,14 @@ fn union_closure_explains_via_the_live_witness() {
     let src = "union Inner { short s; char c; };\n\
                union Outer { int i; Inner nested; };\n\
                int main() { Outer u; return u.i; }";
-    for engine in [Engine::Walk, Engine::Summary] {
-        let run = pipeline(src, engine);
+    for run in runs(src) {
         // A member two unions deep: livened by propagation, with the
         // witness chain bottoming out at the read of Outer::i in main.
         let text = explain(run.program(), run.callgraph(), run.liveness(), "Inner::s").unwrap();
-        assert!(text.contains("LIVE (union propagation)"), "{engine}: {text}");
-        assert!(text.contains("union propagation"), "{engine}: {text}");
-        assert!(text.contains("Outer::i"), "{engine}: {text}");
-        assert!(text.contains("call chain: main"), "{engine}: {text}");
+        assert!(text.contains("LIVE (union propagation)"), "{run}: {text}");
+        assert!(text.contains("union propagation"), "{run}: {text}");
+        assert!(text.contains("Outer::i"), "{run}: {text}");
+        assert!(text.contains("call chain: main"), "{run}: {text}");
     }
 }
 
@@ -149,15 +187,14 @@ fn unsafe_cast_explains_the_markall_sweep() {
     let src = "class Inner { public: int deep; };\n\
                class Box { public: Inner inner; int own; };\n\
                int main() { Box* b = new Box(); long v = reinterpret_cast<long>(b); return 0; }";
-    for engine in [Engine::Walk, Engine::Summary] {
-        let run = pipeline(src, engine);
+    for run in runs(src) {
         // Inner::deep is livened transitively: the MarkAll origin points
         // at the cast's root class Box, not at Inner.
         let text = explain(run.program(), run.callgraph(), run.liveness(), "Inner::deep").unwrap();
-        assert!(text.contains("LIVE (unsafe cast)"), "{engine}: {text}");
-        assert!(text.contains("MarkAllContainedMembers"), "{engine}: {text}");
-        assert!(text.contains("contained in Box"), "{engine}: {text}");
-        assert!(text.contains("call chain: main"), "{engine}: {text}");
+        assert!(text.contains("LIVE (unsafe cast)"), "{run}: {text}");
+        assert!(text.contains("MarkAllContainedMembers"), "{run}: {text}");
+        assert!(text.contains("contained in Box"), "{run}: {text}");
+        assert!(text.contains("call chain: main"), "{run}: {text}");
     }
 }
 
@@ -167,17 +204,17 @@ fn global_initializer_access_needs_no_chain() {
                A g;\n\
                int seed = g.m;\n\
                int main() { return 0; }";
-    for engine in [Engine::Walk, Engine::Summary] {
-        let run = pipeline(src, engine);
+    for run in runs(src) {
         if !run.liveness().is_live(
             MemberRef::new(run.program().class_by_name("A").unwrap(), 0),
         ) {
             // Global-initializer reads livening members is itself covered
-            // by engine tests; skip if this dialect subset drops it.
+            // by the equivalence tests; skip if this dialect subset drops
+            // it.
             continue;
         }
         let text = explain(run.program(), run.callgraph(), run.liveness(), "A::m").unwrap();
-        assert!(text.contains("<global initializers>"), "{engine}: {text}");
-        assert!(!text.contains("call chain"), "{engine}: {text}");
+        assert!(text.contains("<global initializers>"), "{run}: {text}");
+        assert!(!text.contains("call chain"), "{run}: {text}");
     }
 }

@@ -95,3 +95,84 @@ fn analysis_is_deterministic_across_runs() {
         assert_eq!(r1, r2, "{}", b.name);
     }
 }
+
+/// A source nested 3000 parentheses deep (300 in debug builds), plus a
+/// trivial second TU: the
+/// parser and body walkers recurse once per level, so this only passes
+/// if every thread that parses or walks (TU front-end workers, summary
+/// extraction shards, the serve builder) runs on the main thread's
+/// stack size rather than the 2 MiB spawn default.
+#[test]
+fn deep_nesting_analyses_on_every_analysis_thread() {
+    use dead_data_members::telemetry::json;
+    use std::io::Write as _;
+    use std::process::{Command, Stdio};
+
+    let dir = std::env::temp_dir().join(format!("ddm-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("mkdir");
+    let deep = dir.join("deep.cpp");
+    let other = dir.join("other.cpp");
+    // Debug frames are far larger: 300 levels already overflow a 2 MiB
+    // stack there, while 500 overflow even the main thread's 8 MiB.
+    let n = if cfg!(debug_assertions) { 300 } else { 3000 };
+    let nested = format!("{}1{}", "(".repeat(n), ")".repeat(n));
+    std::fs::write(&deep, format!("int main() {{ return {nested}; }}\n")).expect("write deep");
+    std::fs::write(&other, "int other() { return 2; }\n").expect("write other");
+    let files = [deep.to_string_lossy().into_owned(), other.to_string_lossy().into_owned()];
+
+    let ddm = || Command::new(env!("CARGO_BIN_EXE_ddm"));
+    let mut two_file_report = None;
+    for jobs in ["1", "2"] {
+        for count in [1, 2] {
+            let out = ddm()
+                .args(&files[..count])
+                .args(["--jobs", jobs])
+                .output()
+                .expect("run ddm");
+            assert!(out.status.success(), "{count} file(s), --jobs {jobs}: {out:?}");
+            if count == 2 {
+                let report = String::from_utf8(out.stdout).expect("utf8 report");
+                if let Some(first) = &two_file_report {
+                    assert_eq!(first, &report, "--jobs {jobs} changed the report");
+                }
+                two_file_report = Some(report);
+            }
+        }
+    }
+
+    let mut daemon = ddm()
+        .arg("serve")
+        .args(["--jobs", "2"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn ddm serve");
+    let file_list = files
+        .iter()
+        .map(|f| format!("\"{}\"", json::escape(f)))
+        .collect::<Vec<_>>()
+        .join(",");
+    let requests = format!(
+        "{{\"cmd\":\"analyze\",\"files\":[{file_list}]}}\n{{\"cmd\":\"report\"}}\n{{\"cmd\":\"shutdown\"}}\n"
+    );
+    daemon
+        .stdin
+        .take()
+        .expect("daemon stdin")
+        .write_all(requests.as_bytes())
+        .expect("send requests");
+    let out = daemon.wait_with_output().expect("daemon exits");
+    assert!(out.status.success(), "serve: {out:?}");
+    let stdout = String::from_utf8(out.stdout).expect("utf8 responses");
+    let responses: Vec<json::Value> =
+        stdout.lines().map(|l| json::parse(l).expect("response JSON")).collect();
+    assert_eq!(responses.len(), 3, "{stdout}");
+    assert_eq!(responses[0].get("ok").and_then(json::Value::as_bool), Some(true), "{stdout}");
+    assert_eq!(
+        responses[1].get("output").and_then(json::Value::as_str),
+        two_file_report.as_deref(),
+        "serve report differs from the one-shot report"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -1,7 +1,7 @@
 //! Serve-mode determinism: every response a live `ddm serve` daemon
 //! gives — including responses answered *during* a background rebuild —
 //! must be byte-identical to a fresh one-shot `ddm` invocation over the
-//! same files at that response's epoch, across engines × job counts.
+//! same files at that response's epoch, across job counts.
 //!
 //! The daemon is driven over real pipes: requests written one line at a
 //! time, file edits interleaved between requests, responses read back
@@ -13,7 +13,7 @@
 //! * `explain` ↔ one-shot `--explain` stdout;
 //! * `stats` ↔ the `== deterministic counters ==` section of `--stats`
 //!   (the deterministic-counter contract makes that section identical
-//!   across jobs, engines, and cache states — the wall-clock sections
+//!   across jobs and cache states — the wall-clock sections
 //!   can never byte-match, so they are out of scope by design).
 
 use std::io::{BufRead, BufReader, Write};
@@ -78,13 +78,9 @@ fn write_fixture(dir: &PathBuf) -> Vec<String> {
         .collect()
 }
 
-fn oneshot(files: &[String], engine: &str, jobs: usize, extra: &[&str]) -> std::process::Output {
+fn oneshot(files: &[String], jobs: usize, extra: &[&str]) -> std::process::Output {
     let mut cmd = ddm();
-    cmd.args(files)
-        .arg("--engine")
-        .arg(engine)
-        .arg("--jobs")
-        .arg(jobs.to_string());
+    cmd.args(files).arg("--jobs").arg(jobs.to_string());
     cmd.args(extra);
     let out = cmd.output().expect("run one-shot ddm");
     assert!(out.status.success(), "one-shot ddm failed: {out:?}");
@@ -100,11 +96,11 @@ struct Oracle {
     counters: String,
 }
 
-fn oracle(files: &[String], engine: &str, jobs: usize) -> Oracle {
-    let report = oneshot(files, engine, jobs, &[]);
-    let live = oneshot(files, engine, jobs, &["--explain", "Gauge::value"]);
-    let dead = oneshot(files, engine, jobs, &["--explain", "Widget::unused"]);
-    let stats = oneshot(files, engine, jobs, &["--stats"]);
+fn oracle(files: &[String], jobs: usize) -> Oracle {
+    let report = oneshot(files, jobs, &[]);
+    let live = oneshot(files, jobs, &["--explain", "Gauge::value"]);
+    let dead = oneshot(files, jobs, &["--explain", "Widget::unused"]);
+    let stats = oneshot(files, jobs, &["--stats"]);
     let stderr = String::from_utf8(stats.stderr).expect("stats stderr utf8");
     let mut counters = String::new();
     let mut in_section = false;
@@ -139,11 +135,9 @@ struct Daemon {
 }
 
 impl Daemon {
-    fn spawn(engine: &str, jobs: usize, cache: &PathBuf) -> Daemon {
+    fn spawn(jobs: usize, cache: &PathBuf) -> Daemon {
         let mut child = ddm()
             .arg("serve")
-            .arg("--engine")
-            .arg(engine)
             .arg("--jobs")
             .arg(jobs.to_string())
             .arg("--cache-dir")
@@ -230,124 +224,120 @@ fn assert_ok_output(response: &str, cmd: &str, epoch: u64, oracle_text: &str) {
 
 #[test]
 fn serve_responses_are_byte_identical_to_oneshot_runs_across_epochs() {
-    for engine in ["summary", "walk"] {
-        for jobs in [1usize, 8] {
-            let scratch = Scratch::new(&format!("{engine}-{jobs}"));
-            let files = write_fixture(&scratch.0);
-            let cache = scratch.0.join("cache");
+    for jobs in [1usize, 8] {
+        let scratch = Scratch::new(&format!("jobs{jobs}"));
+        let files = write_fixture(&scratch.0);
+        let cache = scratch.0.join("cache");
 
-            let oracle_a = oracle(&files, engine, jobs);
-            let mut daemon = Daemon::spawn(engine, jobs, &cache);
+        let oracle_a = oracle(&files, jobs);
+        let mut daemon = Daemon::spawn(jobs, &cache);
 
-            let file_list = files
-                .iter()
-                .map(|f| format!("\"{}\"", json_escape(f)))
-                .collect::<Vec<_>>()
-                .join(",");
-            let analyzed =
-                daemon.round_trip(&format!("{{\"cmd\":\"analyze\",\"files\":[{file_list}]}}"));
-            assert!(analyzed.contains("\"ok\":true"), "analyze failed: {analyzed}");
-            assert_eq!(epoch_of(&analyzed), 1);
+        let file_list = files
+            .iter()
+            .map(|f| format!("\"{}\"", json_escape(f)))
+            .collect::<Vec<_>>()
+            .join(",");
+        let analyzed =
+            daemon.round_trip(&format!("{{\"cmd\":\"analyze\",\"files\":[{file_list}]}}"));
+        assert!(analyzed.contains("\"ok\":true"), "analyze failed: {analyzed}");
+        assert_eq!(epoch_of(&analyzed), 1);
 
-            // Epoch-1 queries, including a concurrent burst: write the
-            // whole batch before reading a single response, so with
-            // jobs=8 the reader pool genuinely overlaps on one epoch.
-            let batch: Vec<String> = (0..4)
-                .flat_map(|_| {
-                    [
-                        "{\"cmd\":\"report\"}".to_string(),
-                        "{\"cmd\":\"explain\",\"member\":\"Gauge::value\"}".to_string(),
-                        "{\"cmd\":\"explain\",\"member\":\"Widget::unused\"}".to_string(),
-                        "{\"cmd\":\"stats\"}".to_string(),
-                    ]
-                })
-                .collect();
-            for request in &batch {
-                daemon.send(request);
-            }
-            for chunk in 0..4 {
-                assert_ok_output(&daemon.recv(), "report", 1, &oracle_a.report);
-                assert_ok_output(&daemon.recv(), "explain", 1, &oracle_a.explain_live);
-                assert_ok_output(&daemon.recv(), "explain", 1, &oracle_a.explain_dead);
-                let stats = daemon.recv();
-                assert_ok_output(&stats, "stats", 1, &oracle_a.counters);
-                let _ = chunk;
-            }
-
-            // Edit one TU of three, compute the epoch-2 oracle from the
-            // new file state, and fire an *asynchronous* notify so the
-            // next queries race the rebuild.
-            std::fs::write(&files[1], TU_B_STATE_B).expect("edit b.cpp");
-            let oracle_b = oracle(&files, engine, jobs);
-            assert_ne!(
-                oracle_a.report, oracle_b.report,
-                "the edit must change the report, or the mid-rebuild check is vacuous"
-            );
-
-            let notified = daemon
-                .round_trip(&format!("{{\"cmd\":\"notify\",\"changed\":[\"{}\"]}}", json_escape(&files[1])));
-            assert!(notified.contains("\"building\":true"), "async notify ack: {notified}");
-
-            // Mid-rebuild queries: each response must match whichever
-            // epoch it says it was served from.
-            for _ in 0..6 {
-                let response = daemon.round_trip("{\"cmd\":\"report\"}");
-                match epoch_of(&response) {
-                    1 => assert_ok_output(&response, "report", 1, &oracle_a.report),
-                    2 => assert_ok_output(&response, "report", 2, &oracle_b.report),
-                    other => panic!("impossible epoch {other} in {response}"),
-                }
-            }
-
-            // Wait for the rebuild to finish, then re-query: everything
-            // must now be the epoch-2 oracle.
-            let mut published = daemon.round_trip("{\"cmd\":\"epoch\"}");
-            while published.contains("\"building\":true") || epoch_of(&published) < 2 {
-                published = daemon.round_trip("{\"cmd\":\"epoch\"}");
-            }
-            assert_eq!(epoch_of(&published), 2, "{published}");
-            if engine == "summary" {
-                let warm: u64 = {
-                    let idx = published
-                        .find("\"snapshot_warm_starts\":")
-                        .expect("warm-start field")
-                        + "\"snapshot_warm_starts\":".len();
-                    published[idx..]
-                        .chars()
-                        .take_while(char::is_ascii_digit)
-                        .collect::<String>()
-                        .parse()
-                        .expect("warm-start count")
-                };
-                assert!(
-                    warm >= 1,
-                    "the 1-of-3 rebuild must warm-start from the analysis snapshot: {published}"
-                );
-            }
-
-            assert_ok_output(&daemon.round_trip("{\"cmd\":\"report\"}"), "report", 2, &oracle_b.report);
-            assert_ok_output(
-                &daemon.round_trip("{\"cmd\":\"explain\",\"member\":\"Gauge::value\"}"),
-                "explain",
-                2,
-                &oracle_b.explain_live,
-            );
-            assert_ok_output(
-                &daemon.round_trip("{\"cmd\":\"stats\"}"),
-                "stats",
-                2,
-                &oracle_b.counters,
-            );
-
-            // Error responses are typed, stable, and epoch-tagged.
-            let malformed = daemon.round_trip("{\"cmd\":\"explain\",\"member\":\"plain\"}");
-            assert!(malformed.contains("\"error\":\"bad_request\""), "{malformed}");
-            let unknown = daemon.round_trip("{\"cmd\":\"explain\",\"member\":\"Gauge::nope\"}");
-            assert!(unknown.contains("\"error\":\"not_found\""), "{unknown}");
-            let nonsense = daemon.round_trip("{\"cmd\":\"frobnicate\"}");
-            assert!(nonsense.contains("\"error\":\"bad_request\""), "{nonsense}");
-
-            daemon.shutdown();
+        // Epoch-1 queries, including a concurrent burst: write the
+        // whole batch before reading a single response, so with
+        // jobs=8 the reader pool genuinely overlaps on one epoch.
+        let batch: Vec<String> = (0..4)
+            .flat_map(|_| {
+                [
+                    "{\"cmd\":\"report\"}".to_string(),
+                    "{\"cmd\":\"explain\",\"member\":\"Gauge::value\"}".to_string(),
+                    "{\"cmd\":\"explain\",\"member\":\"Widget::unused\"}".to_string(),
+                    "{\"cmd\":\"stats\"}".to_string(),
+                ]
+            })
+            .collect();
+        for request in &batch {
+            daemon.send(request);
         }
+        for chunk in 0..4 {
+            assert_ok_output(&daemon.recv(), "report", 1, &oracle_a.report);
+            assert_ok_output(&daemon.recv(), "explain", 1, &oracle_a.explain_live);
+            assert_ok_output(&daemon.recv(), "explain", 1, &oracle_a.explain_dead);
+            let stats = daemon.recv();
+            assert_ok_output(&stats, "stats", 1, &oracle_a.counters);
+            let _ = chunk;
+        }
+
+        // Edit one TU of three, compute the epoch-2 oracle from the
+        // new file state, and fire an *asynchronous* notify so the
+        // next queries race the rebuild.
+        std::fs::write(&files[1], TU_B_STATE_B).expect("edit b.cpp");
+        let oracle_b = oracle(&files, jobs);
+        assert_ne!(
+            oracle_a.report, oracle_b.report,
+            "the edit must change the report, or the mid-rebuild check is vacuous"
+        );
+
+        let notified = daemon
+            .round_trip(&format!("{{\"cmd\":\"notify\",\"changed\":[\"{}\"]}}", json_escape(&files[1])));
+        assert!(notified.contains("\"building\":true"), "async notify ack: {notified}");
+
+        // Mid-rebuild queries: each response must match whichever
+        // epoch it says it was served from.
+        for _ in 0..6 {
+            let response = daemon.round_trip("{\"cmd\":\"report\"}");
+            match epoch_of(&response) {
+                1 => assert_ok_output(&response, "report", 1, &oracle_a.report),
+                2 => assert_ok_output(&response, "report", 2, &oracle_b.report),
+                other => panic!("impossible epoch {other} in {response}"),
+            }
+        }
+
+        // Wait for the rebuild to finish, then re-query: everything
+        // must now be the epoch-2 oracle.
+        let mut published = daemon.round_trip("{\"cmd\":\"epoch\"}");
+        while published.contains("\"building\":true") || epoch_of(&published) < 2 {
+            published = daemon.round_trip("{\"cmd\":\"epoch\"}");
+        }
+        assert_eq!(epoch_of(&published), 2, "{published}");
+        let warm: u64 = {
+            let idx = published
+                .find("\"snapshot_warm_starts\":")
+                .expect("warm-start field")
+                + "\"snapshot_warm_starts\":".len();
+            published[idx..]
+                .chars()
+                .take_while(char::is_ascii_digit)
+                .collect::<String>()
+                .parse()
+                .expect("warm-start count")
+        };
+        assert!(
+            warm >= 1,
+            "the 1-of-3 rebuild must warm-start from the analysis snapshot: {published}"
+        );
+
+        assert_ok_output(&daemon.round_trip("{\"cmd\":\"report\"}"), "report", 2, &oracle_b.report);
+        assert_ok_output(
+            &daemon.round_trip("{\"cmd\":\"explain\",\"member\":\"Gauge::value\"}"),
+            "explain",
+            2,
+            &oracle_b.explain_live,
+        );
+        assert_ok_output(
+            &daemon.round_trip("{\"cmd\":\"stats\"}"),
+            "stats",
+            2,
+            &oracle_b.counters,
+        );
+
+        // Error responses are typed, stable, and epoch-tagged.
+        let malformed = daemon.round_trip("{\"cmd\":\"explain\",\"member\":\"plain\"}");
+        assert!(malformed.contains("\"error\":\"bad_request\""), "{malformed}");
+        let unknown = daemon.round_trip("{\"cmd\":\"explain\",\"member\":\"Gauge::nope\"}");
+        assert!(unknown.contains("\"error\":\"not_found\""), "{unknown}");
+        let nonsense = daemon.round_trip("{\"cmd\":\"frobnicate\"}");
+        assert!(nonsense.contains("\"error\":\"bad_request\""), "{nonsense}");
+
+        daemon.shutdown();
     }
 }

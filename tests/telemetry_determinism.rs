@@ -1,7 +1,8 @@
 //! The telemetry layer's core contract: deterministic counters are
-//! bit-identical across worker counts and engines, enabling telemetry
-//! changes no analysis output, and `--explain` renders the same witness
-//! text whichever engine produced the liveness.
+//! bit-identical across worker counts and equal to the sequential walk
+//! reference's, enabling telemetry changes no analysis output, and
+//! `--explain` renders the same witness text whether the summary engine
+//! or the walk reference produced the liveness.
 
 use dead_data_members::prelude::*;
 
@@ -29,63 +30,37 @@ fn bundled_programs() -> Vec<(String, String)> {
         .collect()
 }
 
-fn run_counters(source: &str, jobs: usize, engine: Engine) -> Counters {
+fn run_counters(source: &str, jobs: usize) -> Counters {
     let telemetry = Telemetry::enabled();
     AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig::default(),
         Algorithm::Rta,
         jobs,
-        engine,
         &telemetry,
     )
     .expect("pipeline");
     telemetry.counters()
 }
 
-#[test]
-fn counters_identical_across_jobs_and_engines() {
-    for (name, source) in bundled_programs() {
-        let reference = run_counters(&source, 1, Engine::Summary);
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 2, 8] {
-                let counters = run_counters(&source, jobs, engine);
-                assert_eq!(
-                    counters, reference,
-                    "{name}: counters diverged at engine={engine} jobs={jobs}"
-                );
-            }
-        }
-    }
+/// The sequential walk reference over `source`, its counters recorded
+/// on `telemetry`.
+fn walk_reference(source: &str, telemetry: &Telemetry) -> ddm_bench::reference::Reference {
+    ddm_bench::reference::analyze(source, &AnalysisConfig::default(), Algorithm::Rta, telemetry)
+        .expect("walk reference")
 }
 
 #[test]
-fn sharded_scan_counters_match_sequential() {
-    // The pipeline's size threshold routes small programs to the
-    // sequential path, so exercise the worker machinery directly: the
-    // sharded scan must count the identical event totals.
+fn counters_identical_across_jobs_and_engines() {
     for (name, source) in bundled_programs() {
-        let tu = parse(&source).expect("parse");
-        let program = Program::build(&tu).expect("sema");
-        let lookup = MemberLookup::new(&program);
-        let graph = CallGraph::build(&program, &lookup, &CallGraphOptions::default()).unwrap();
-        let analysis = DeadMemberAnalysis::new(&program, AnalysisConfig::default());
-
-        let sequential = Telemetry::enabled();
-        let reference = analysis.run(&graph).unwrap();
-        analysis
-            .run_jobs_with(&graph, 1, &sequential)
-            .expect("sequential scan");
-        for jobs in [2, 8] {
-            let telemetry = Telemetry::enabled();
-            let liveness = analysis
-                .run_jobs_sharded(&graph, jobs, &telemetry)
-                .expect("sharded scan");
-            assert_eq!(liveness, reference, "{name}: liveness diverged at jobs={jobs}");
+        let telemetry = Telemetry::enabled();
+        walk_reference(&source, &telemetry);
+        let reference = telemetry.counters();
+        for jobs in [1, 2, 8] {
+            let counters = run_counters(&source, jobs);
             assert_eq!(
-                telemetry.counters(),
-                sequential.counters(),
-                "{name}: sharded counters diverged at jobs={jobs}"
+                counters, reference,
+                "{name}: counters diverged from the walk reference at jobs={jobs}"
             );
         }
     }
@@ -94,12 +69,11 @@ fn sharded_scan_counters_match_sequential() {
 #[test]
 fn enabling_telemetry_changes_no_analysis_output() {
     for (name, source) in bundled_programs() {
-        let plain = AnalysisPipeline::with_config_engine(
+        let plain = AnalysisPipeline::with_config_jobs(
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
-            Engine::Summary,
         )
         .expect("pipeline");
         let telemetry = Telemetry::enabled();
@@ -108,7 +82,6 @@ fn enabling_telemetry_changes_no_analysis_output() {
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
-            Engine::Summary,
             &telemetry,
         )
         .expect("pipeline");
@@ -128,20 +101,11 @@ fn enabling_telemetry_changes_no_analysis_output() {
 #[test]
 fn explain_is_byte_identical_across_engines() {
     for (name, source) in bundled_programs() {
-        let walk = AnalysisPipeline::with_config_engine(
+        let walk = walk_reference(&source, &Telemetry::disabled());
+        let summary = AnalysisPipeline::with_config(
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
-            1,
-            Engine::Walk,
-        )
-        .expect("walk pipeline");
-        let summary = AnalysisPipeline::with_config_engine(
-            &source,
-            AnalysisConfig::default(),
-            Algorithm::Rta,
-            1,
-            Engine::Summary,
         )
         .expect("summary pipeline");
         for (_, class) in walk.program().classes() {
@@ -167,7 +131,7 @@ fn explain_is_byte_identical_across_engines() {
 }
 
 #[test]
-fn stats_record_engine_and_fastpath_routing() {
+fn stats_record_jobs_and_body_walks() {
     let (_, source) = &bundled_programs()[0];
     let telemetry = Telemetry::enabled();
     AnalysisPipeline::with_config_telemetry(
@@ -175,16 +139,11 @@ fn stats_record_engine_and_fastpath_routing() {
         AnalysisConfig::default(),
         Algorithm::Rta,
         8,
-        Engine::Walk,
         &telemetry,
     )
     .expect("pipeline");
     let stats = telemetry.stats();
-    assert_eq!(stats.engine, "walk");
     assert_eq!(stats.jobs, 8);
-    assert!(
-        stats.scan_sequential_fastpath,
-        "benchmark programs sit below SEQUENTIAL_SCAN_THRESHOLD, so jobs=8 must fall back"
-    );
+    assert_eq!(stats.scan_rounds, 1);
     assert!(stats.bodies_walked > 0);
 }

@@ -5,13 +5,12 @@
 //! invocation in a process-wide counter. A summary-engine pipeline run
 //! must advance it by exactly `function_count + 1` (each body once
 //! during extraction, plus one pass over global initialisers), while the
-//! retained walk engine re-traverses bodies every call-graph round and
-//! again for the liveness scan and used-class computation.
+//! sequential walk reference re-traverses bodies in the call-graph
+//! fixpoint and again for the liveness scan and used-class computation.
 //!
 //! Kept as a single `#[test]` in its own binary: the counter is
 //! process-global, so concurrent tests would interleave their deltas.
 
-use dead_data_members::analysis::Engine;
 use dead_data_members::prelude::*;
 
 fn bundled_programs() -> Vec<(String, String)> {
@@ -42,9 +41,9 @@ fn suite_config() -> AnalysisConfig {
 }
 
 /// Runs one pipeline and returns how many body walks it performed.
-fn walks_for(source: &str, engine: Engine, jobs: usize) -> u64 {
+fn walks_for(source: &str, jobs: usize) -> u64 {
     let before = body_walk_count();
-    AnalysisPipeline::with_config_engine(source, suite_config(), Algorithm::Rta, jobs, engine)
+    AnalysisPipeline::with_config_jobs(source, suite_config(), Algorithm::Rta, jobs)
         .expect("pipeline");
     body_walk_count() - before
 }
@@ -59,7 +58,7 @@ fn summary_engine_walks_each_body_exactly_once() {
         // Extraction walks every function body once plus the global
         // initialisers once; no downstream phase touches an AST again.
         for jobs in [1u64, 8] {
-            let walked = walks_for(&source, Engine::Summary, jobs as usize);
+            let walked = walks_for(&source, jobs as usize);
             assert_eq!(
                 walked,
                 function_count + 1,
@@ -68,12 +67,17 @@ fn summary_engine_walks_each_body_exactly_once() {
             );
         }
 
-        // The retained engine re-walks per call-graph round and again in
-        // the liveness scan, so it must always do strictly more work.
-        let rewalked = walks_for(&source, Engine::Walk, 1);
+        // The walk reference re-walks in the call-graph fixpoint and
+        // again in the liveness scan, so it must always do strictly more
+        // work.
+        let before = body_walk_count();
+        let config = suite_config();
+        ddm_bench::reference::analyze(&source, &config, Algorithm::Rta, &Telemetry::disabled())
+            .expect("walk reference");
+        let rewalked = body_walk_count() - before;
         assert!(
             rewalked > function_count + 1,
-            "{name}: walk engine did {rewalked} walks, \
+            "{name}: walk reference did {rewalked} walks, \
              not more than the summary engine's {}",
             function_count + 1
         );

@@ -8,14 +8,13 @@
 //! `Builder` over the same public walker events — and checks that the
 //! delta fixpoint reproduces it bit for bit: the reachable set, the
 //! instantiated set, every edge list, the address-taken set, and every
-//! downstream byte (reports, `--explain` transcripts) across both
-//! engines and worker counts.
+//! downstream byte (reports, `--explain` transcripts) across the summary
+//! engine, the sequential walk reference, and worker counts.
 //!
 //! The oracle is intentionally the *naive* algorithm: correctness by
 //! construction, quadratic be damned. DESIGN.md §5d argues the schedule
 //! equivalence; this file enforces it.
 
-use dead_data_members::analysis::Engine;
 use dead_data_members::benchmarks::generator::{
     generate, generate_scale, GeneratorConfig, ScaleConfig,
 };
@@ -274,9 +273,10 @@ impl EventVisitor for OracleSink<'_, '_> {
 // Comparison plumbing
 // ---------------------------------------------------------------------------
 
-/// Asserts both delta engines reproduce the oracle's graph on `source`
-/// exactly — same reachable list, instantiated list, per-function edge
-/// rows, and address-taken set.
+/// Asserts both delta builders (the walk reference and the summary
+/// replay) reproduce the oracle's graph on `source` exactly — same
+/// reachable list, instantiated list, per-function edge rows, and
+/// address-taken set.
 fn assert_matches_oracle(label: &str, source: &str, algorithm: Algorithm) {
     let tu = parse(source).unwrap_or_else(|e| panic!("{label}: parse: {e}"));
     let program = Program::build(&tu).unwrap_or_else(|e| panic!("{label}: sema: {e}"));
@@ -286,28 +286,18 @@ fn assert_matches_oracle(label: &str, source: &str, algorithm: Algorithm) {
         ..Default::default()
     };
 
-    let walked = CallGraph::build(&program, &lookup, &options)
+    let quiet = Telemetry::disabled();
+    let walked = CallGraph::build_with(&program, &lookup, &options, &quiet)
         .unwrap_or_else(|e| panic!("{label}: walk build: {e}"));
-    let summary = ProgramSummary::build(&program, algorithm == Algorithm::Pta, 1);
-    let replayed = CallGraph::build_from_summary(&program, &summary, &options)
-        .unwrap_or_else(|e| panic!("{label}: replay build: {e}"));
-    assert_eq!(walked, replayed, "{label}: engines disagree");
-    // The parallel round path must be invisible in the artifact: any
-    // worker count, same graph (rounds below the parallel threshold
-    // take the sequential path and are trivially identical; the wide
-    // shapes below cross it).
-    for jobs in [2, 8] {
-        let options_jobs = CallGraphOptions {
-            algorithm,
-            jobs,
-            ..Default::default()
-        };
-        let walked_jobs = CallGraph::build(&program, &lookup, &options_jobs)
-            .unwrap_or_else(|e| panic!("{label}: walk build (jobs={jobs}): {e}"));
-        assert_eq!(
-            walked, walked_jobs,
-            "{label}: jobs={jobs} walk diverged from sequential"
-        );
+    // Sharded summary extraction must be invisible in the artifact: any
+    // worker count, same graph (programs below the extraction shard
+    // threshold extract sequentially; the wide shapes below cross it).
+    for jobs in [1, 2, 8] {
+        let summary = ProgramSummary::build(&program, algorithm == Algorithm::Pta, jobs);
+        let (replayed, _) =
+            CallGraph::build_from_summary_schedule(&program, &summary, &options, &quiet)
+                .unwrap_or_else(|e| panic!("{label}: replay build (jobs={jobs}): {e}"));
+        assert_eq!(walked, replayed, "{label}: replay diverged from the walk at jobs={jobs}");
     }
 
     if algorithm == Algorithm::Everything {
@@ -468,11 +458,11 @@ int main() { int a = early(); a = a + late(); return a; }
 
 #[test]
 fn wide_rounds_match_the_prechange_sweep() {
-    // One round wider than PARALLEL_ROUND_THRESHOLD, so the jobs={2,8}
-    // builds inside assert_matches_oracle actually take the parallel
-    // pre-extraction path — with an instantiation landing mid-round so
+    // One 300-function round — above the extraction shard threshold, so
+    // the jobs={2,8} summaries inside assert_matches_oracle are extracted
+    // on worker threads — with an instantiation landing mid-round so
     // readied drain slots interleave with first processings.
-    let n = dead_data_members::callgraph::PARALLEL_ROUND_THRESHOLD + 44;
+    let n = 300;
     let mut source = String::from(
         "class A { public: int f; virtual int m() { return f; } };\n\
          class B : public A { public: int g; virtual int m() { return g + f; } };\n",
@@ -499,12 +489,12 @@ fn wide_rounds_match_the_prechange_sweep() {
 #[test]
 fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
     for (name, source) in bundled_programs() {
-        let reference = AnalysisPipeline::with_config_engine(
+        let config = suite_config();
+        let reference = ddm_bench::reference::analyze(
             &source,
-            suite_config(),
+            &config,
             Algorithm::Rta,
-            1,
-            Engine::Walk,
+            &Telemetry::disabled(),
         )
         .unwrap_or_else(|e| panic!("{name}: reference run: {e}"));
         let reference_report = reference.report().to_string();
@@ -522,33 +512,23 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
             })
             .collect();
 
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 2, 8] {
-                let run = AnalysisPipeline::with_config_engine(
-                    &source,
-                    suite_config(),
-                    Algorithm::Rta,
-                    jobs,
-                    engine,
-                )
-                .unwrap_or_else(|e| panic!("{name}: {engine} jobs={jobs}: {e}"));
-                assert_eq!(
-                    reference.callgraph(),
-                    run.callgraph(),
-                    "{name}: call graph diverged ({engine}, jobs={jobs})"
-                );
-                assert_eq!(
-                    reference_report,
-                    run.report().to_string(),
-                    "{name}: report bytes diverged ({engine}, jobs={jobs})"
-                );
-                for (spec, expected) in specs.iter().zip(&reference_explains) {
-                    let got = explain(run.program(), run.callgraph(), run.liveness(), spec);
-                    assert_eq!(
-                        *expected, got,
-                        "{name}: explain({spec}) diverged ({engine}, jobs={jobs})"
-                    );
-                }
+        for jobs in [1, 2, 8] {
+            let run =
+                AnalysisPipeline::with_config_jobs(&source, config.clone(), Algorithm::Rta, jobs)
+                    .unwrap_or_else(|e| panic!("{name}: jobs={jobs}: {e}"));
+            assert_eq!(
+                reference.callgraph(),
+                run.callgraph(),
+                "{name}: call graph diverged (jobs={jobs})"
+            );
+            assert_eq!(
+                reference_report,
+                run.report().to_string(),
+                "{name}: report bytes diverged (jobs={jobs})"
+            );
+            for (spec, expected) in specs.iter().zip(&reference_explains) {
+                let got = explain(run.program(), run.callgraph(), run.liveness(), spec);
+                assert_eq!(*expected, got, "{name}: explain({spec}) diverged (jobs={jobs})");
             }
         }
     }
@@ -557,39 +537,32 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
 #[test]
 fn worklist_telemetry_is_identical_across_engines_and_jobs() {
     for (name, source) in bundled_programs() {
-        let mut baseline: Option<(Counters, Vec<u64>)> = None;
-        for engine in [Engine::Walk, Engine::Summary] {
-            for jobs in [1, 8] {
-                let telemetry = Telemetry::enabled();
-                AnalysisPipeline::with_config_telemetry(
-                    &source,
-                    suite_config(),
-                    Algorithm::Rta,
-                    jobs,
-                    engine,
-                    &telemetry,
-                )
-                .unwrap_or_else(|e| panic!("{name}: {engine} jobs={jobs}: {e}"));
-                let counters = telemetry.counters();
-                let deltas = telemetry.stats().cg_round_deltas;
-                assert!(
-                    counters.cg_worklist_pops > 0,
-                    "{name}: the fixpoint must pop work"
-                );
-                match &baseline {
-                    None => baseline = Some((counters, deltas)),
-                    Some((c0, d0)) => {
-                        assert_eq!(
-                            *c0, counters,
-                            "{name}: counters diverged ({engine}, jobs={jobs})"
-                        );
-                        assert_eq!(
-                            *d0, deltas,
-                            "{name}: per-round delta sizes diverged ({engine}, jobs={jobs})"
-                        );
-                    }
-                }
-            }
+        let config = suite_config();
+        let walk = Telemetry::enabled();
+        ddm_bench::reference::analyze(&source, &config, Algorithm::Rta, &walk)
+            .unwrap_or_else(|e| panic!("{name}: walk reference: {e}"));
+        let (c0, d0) = (walk.counters(), walk.stats().cg_round_deltas);
+        assert!(c0.cg_worklist_pops > 0, "{name}: the fixpoint must pop work");
+        for jobs in [1, 8] {
+            let telemetry = Telemetry::enabled();
+            AnalysisPipeline::with_config_telemetry(
+                &source,
+                config.clone(),
+                Algorithm::Rta,
+                jobs,
+                &telemetry,
+            )
+            .unwrap_or_else(|e| panic!("{name}: jobs={jobs}: {e}"));
+            assert_eq!(
+                c0,
+                telemetry.counters(),
+                "{name}: counters diverged from the walk reference (jobs={jobs})"
+            );
+            assert_eq!(
+                d0,
+                telemetry.stats().cg_round_deltas,
+                "{name}: per-round delta sizes diverged from the walk reference (jobs={jobs})"
+            );
         }
     }
 }
