@@ -243,4 +243,7 @@ echo "== bench report: counter-baseline regression gate (hard-fail on drift) =="
 cargo run --release -p ddm-bench --bin bench_report -- --check --smoke --validate
 rm -f BENCH_fuzz_smoke.json BENCH_incremental_smoke.json BENCH_scale_smoke.json
 
+echo "== non-test Rust lines (information only, not a gate) =="
+python3 tools/nontest_loc.py
+
 echo "ci.sh: all gates passed"

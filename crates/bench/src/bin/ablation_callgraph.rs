@@ -7,18 +7,18 @@
 //! stand-in), and PTA (RTA plus the §3.1 points-to refinement). Dead
 //! counts are monotone: everything ≤ CHA ≤ RTA ≤ PTA.
 
+use ddm_bench::suite_analysis_config;
 use ddm_callgraph::Algorithm;
-use ddm_core::{AnalysisConfig, AnalysisPipeline, SizeofPolicy};
+use ddm_core::AnalysisPipeline;
+use ddm_telemetry::Telemetry;
 
 fn dead_count(source: &str, algorithm: Algorithm) -> (usize, usize, f64) {
-    let run = AnalysisPipeline::with_config(
+    let run = AnalysisPipeline::with_config_telemetry(
         source,
-        AnalysisConfig {
-            assume_safe_downcasts: true,
-            sizeof_policy: SizeofPolicy::Ignore,
-            ..Default::default()
-        },
+        suite_analysis_config(),
         algorithm,
+        1,
+        &Telemetry::disabled(),
     )
     .expect("suite analyzes cleanly");
     let report = run.report();

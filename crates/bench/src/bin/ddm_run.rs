@@ -18,11 +18,12 @@ fn main() {
     let jobs = ddm_bench::jobs_from_args();
     let src = std::fs::read_to_string(&path).expect("readable input file");
     let t0 = std::time::Instant::now();
-    let run = match ddm_core::AnalysisPipeline::with_config_jobs(
+    let run = match ddm_core::AnalysisPipeline::with_config_telemetry(
         &src,
         Default::default(),
         ddm_callgraph::Algorithm::Rta,
         jobs,
+        &ddm_telemetry::Telemetry::disabled(),
     ) {
         Ok(r) => r,
         Err(e) => {

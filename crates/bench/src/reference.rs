@@ -14,62 +14,14 @@
 
 use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
 use ddm_core::{
-    record_classification, AnalysisConfig, DeadMemberAnalysis, Liveness, PipelineError,
-    ProjectError, Report,
+    AnalysisConfig, DeadMemberAnalysis, EpochSnapshot, Liveness, PipelineError, ProjectError,
 };
 use ddm_cppfront::{parse, SourceMap};
 use ddm_hierarchy::{
-    link_with, used_classes, ClassId, LinkedProgram, MemberLookup, Program, ProgramSummary,
-    TuModule, TypeError,
+    link_with, used_classes, ClassId, MemberLookup, Program, ProgramSummary, TuModule, TypeError,
 };
 use ddm_telemetry::Telemetry;
 use std::collections::HashSet;
-
-/// The analysed program: one TU's model, or a linked project.
-#[derive(Debug)]
-enum Model {
-    Single(Program),
-    Linked(LinkedProgram),
-}
-
-/// One analysis computed by the walk reference.
-#[derive(Debug)]
-pub struct Reference {
-    model: Model,
-    callgraph: CallGraph,
-    liveness: Liveness,
-    used: HashSet<ClassId>,
-}
-
-impl Reference {
-    /// The program model (the linked one for projects).
-    pub fn program(&self) -> &Program {
-        match &self.model {
-            Model::Single(program) => program,
-            Model::Linked(linked) => linked.program(),
-        }
-    }
-
-    /// The walked call graph.
-    pub fn callgraph(&self) -> &CallGraph {
-        &self.callgraph
-    }
-
-    /// The walked per-member classification.
-    pub fn liveness(&self) -> &Liveness {
-        &self.liveness
-    }
-
-    /// The walked used-class set.
-    pub fn used(&self) -> &HashSet<ClassId> {
-        &self.used
-    }
-
-    /// The report over the walked classification.
-    pub fn report(&self) -> Report {
-        Report::new(self.program(), &self.liveness, &self.used)
-    }
-}
 
 /// The single-TU reference: what
 /// [`AnalysisPipeline::with_config_telemetry`](ddm_core::AnalysisPipeline::with_config_telemetry)
@@ -84,15 +36,10 @@ pub fn analyze(
     config: &AnalysisConfig,
     algorithm: Algorithm,
     telemetry: &Telemetry,
-) -> Result<Reference, PipelineError> {
+) -> Result<EpochSnapshot, PipelineError> {
     let program = Program::build(&parse(source)?)?;
     let (callgraph, liveness, used) = walk(&program, config, algorithm, telemetry)?;
-    Ok(Reference {
-        model: Model::Single(program),
-        callgraph,
-        liveness,
-        used,
-    })
+    Ok(EpochSnapshot::new(0, program, callgraph, liveness, used, telemetry))
 }
 
 /// The multi-TU reference: what a cacheless
@@ -110,7 +57,7 @@ pub fn analyze_project(
     config: &AnalysisConfig,
     algorithm: Algorithm,
     telemetry: &Telemetry,
-) -> Result<Reference, ProjectError> {
+) -> Result<EpochSnapshot, ProjectError> {
     let mut modules = Vec::with_capacity(inputs.len());
     let mut parsed = Vec::with_capacity(inputs.len());
     for (file, source) in inputs {
@@ -130,12 +77,14 @@ pub fn analyze_project(
     }
     let linked = link_with(&modules, &parsed, telemetry).map_err(ProjectError::Link)?;
     match walk(linked.program(), config, algorithm, telemetry) {
-        Ok((callgraph, liveness, used)) => Ok(Reference {
-            model: Model::Linked(linked),
+        Ok((callgraph, liveness, used)) => Ok(EpochSnapshot::new(
+            0,
+            linked.into_program(),
             callgraph,
             liveness,
             used,
-        }),
+            telemetry,
+        )),
         Err(e) => Err(ProjectError::Tu {
             file: linked
                 .locate_error(&e)
@@ -146,8 +95,9 @@ pub fn analyze_project(
     }
 }
 
-/// The whole-program phases, walked: call graph, liveness, used classes,
-/// then the shared classification tail.
+/// The whole-program phases, walked: call graph, liveness, used classes.
+/// The callers finish through the pipelines' shared tail,
+/// [`EpochSnapshot::new`].
 fn walk(
     program: &Program,
     config: &AnalysisConfig,
@@ -168,6 +118,5 @@ fn walk(
     let liveness =
         DeadMemberAnalysis::new(program, config.clone()).run_with(&callgraph, telemetry)?;
     let used = used_classes(program, &lookup)?;
-    record_classification(program, &callgraph, &liveness, telemetry);
     Ok((callgraph, liveness, used))
 }

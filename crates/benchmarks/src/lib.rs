@@ -77,7 +77,7 @@ impl Benchmark {
     ///
     /// Propagates [`PipelineError`]s; the shipped suite always succeeds.
     pub fn analyze(&self) -> Result<AnalysisPipeline, PipelineError> {
-        AnalysisPipeline::with_config(
+        AnalysisPipeline::with_config_telemetry(
             self.source,
             AnalysisConfig {
                 assume_safe_downcasts: true,
@@ -85,6 +85,9 @@ impl Benchmark {
                 ..Default::default()
             },
             ddm_callgraph::Algorithm::Rta,
+            1,
+            // A disabled telemetry handle.
+            &Default::default(),
         )
     }
 }

@@ -74,13 +74,14 @@ impl std::fmt::Display for KeepReason {
 /// # Examples
 ///
 /// ```
-/// use ddm_core::{eliminate, AnalysisPipeline};
+/// use ddm_core::{eliminate_with, AnalysisPipeline};
+/// use ddm_telemetry::Telemetry;
 ///
 /// let run = AnalysisPipeline::from_source(
 ///     "class A { public: int keep; int drop; };\n\
 ///      int main() { A a; a.drop = 9; return a.keep; }",
 /// )?;
-/// let result = eliminate(&run);
+/// let result = eliminate_with(&run, &Telemetry::disabled());
 /// assert_eq!(result.removed, vec!["A::drop"]);
 /// assert!(!result.source.contains("drop"));
 /// # Ok::<(), ddm_core::PipelineError>(())
@@ -98,15 +99,11 @@ impl std::fmt::Display for KeepReason {
 /// 4. every assignment whose target accesses `m` is a statement by
 ///    itself (so it can be reduced to its right-hand side);
 /// 5. no pointer-to-member expression names `m`.
-pub fn eliminate(pipeline: &AnalysisPipeline) -> Elimination {
-    eliminate_with(pipeline, &Telemetry::disabled())
-}
-
-/// [`eliminate`] with telemetry: every removal and every keep-with-reason
-/// decision lands in the flight recorder. Elimination reads only the
-/// analysed program and its liveness verdicts — all of them engine- and
-/// jobs-invariant — and its own output is sorted, so every elimination
-/// event is deterministic class.
+///
+/// Every removal and every keep-with-reason decision lands in the
+/// flight recorder. Elimination reads only the analysed program and its
+/// liveness verdicts — all of them jobs-invariant — and its own output
+/// is sorted, so every elimination event is deterministic class.
 pub fn eliminate_with(pipeline: &AnalysisPipeline, telemetry: &Telemetry) -> Elimination {
     let program = pipeline.program();
     let tu = pipeline.translation_unit();
@@ -661,7 +658,7 @@ mod tests {
 
     fn run_elimination(src: &str) -> (AnalysisPipeline, Elimination) {
         let pipeline = AnalysisPipeline::from_source(src).expect("pipeline");
-        let result = eliminate(&pipeline);
+        let result = eliminate_with(&pipeline, &Telemetry::disabled());
         (pipeline, result)
     }
 

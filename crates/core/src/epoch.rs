@@ -1,12 +1,15 @@
-//! Immutable analysis epochs and the swap cell that publishes them.
+//! The analysis result type, and the swap cell serve mode publishes
+//! it through.
 //!
-//! An [`EpochSnapshot`] is the complete, frozen result of one project
-//! analysis run: the linked program, call graph, liveness, used-class
-//! set, and the run's deterministic counters, stamped with a
-//! monotonically increasing epoch id. Snapshots are plain data behind
-//! an `Arc` — no locks, no interior mutability — so any number of
-//! reader threads can answer `report`/`explain`/`stats` queries from
-//! one concurrently, and cloning the handle is a refcount bump.
+//! An [`EpochSnapshot`] is the complete, frozen result of one analysis
+//! run — single-file or project, product or walk reference: the program
+//! model (the linked one for a project), call graph, liveness, used-class
+//! set, and the run's deterministic counters, stamped with an epoch id.
+//! Every pipeline finishes through [`EpochSnapshot::new`], the one shared
+//! tail. Snapshots are plain data — no locks, no interior mutability —
+//! so behind an `Arc` any number of reader threads can answer
+//! `report`/`explain`/`stats` queries from one concurrently, and cloning
+//! the handle is a refcount bump.
 //!
 //! [`EpochCell`] is the single mutable point in serve mode: an
 //! `ArcSwap`-style slot (hand-rolled over `Mutex<Option<Arc<_>>>`)
@@ -17,57 +20,98 @@
 //! observe a half-built epoch, because the only shared state is the
 //! slot and the slot only ever holds finished snapshots.
 
-use crate::analysis::AnalysisConfig;
 use crate::explain::{explain, ExplainError};
 use crate::liveness::Liveness;
 use crate::report::{render_analysis, Report};
 use ddm_callgraph::CallGraph;
-use ddm_cppfront::SourceSet;
-use ddm_hierarchy::{ClassId, LinkedProgram, Program};
-use ddm_telemetry::Counters;
+use ddm_hierarchy::{ClassId, MemberRef, Program};
+use ddm_telemetry::{Counters, EventClass, Telemetry};
 use std::collections::HashSet;
 use std::sync::{Arc, Mutex};
 
 /// One frozen analysis result. See the module docs for the sharing
-/// contract; construction goes through
-/// [`ProjectPipeline::run_epoch`](crate::ProjectPipeline::run_epoch).
+/// contract.
 #[derive(Debug)]
 pub struct EpochSnapshot {
-    pub(crate) epoch: u64,
-    pub(crate) sources: SourceSet,
-    pub(crate) files: Vec<String>,
-    pub(crate) linked: LinkedProgram,
-    pub(crate) callgraph: CallGraph,
-    pub(crate) liveness: Liveness,
-    pub(crate) used: HashSet<ClassId>,
-    pub(crate) config: AnalysisConfig,
-    pub(crate) counters: Counters,
+    epoch: u64,
+    program: Program,
+    callgraph: CallGraph,
+    liveness: Liveness,
+    used: HashSet<ClassId>,
+    counters: Counters,
 }
 
 impl EpochSnapshot {
+    /// The tail every analysis path shares: counts the graph totals and
+    /// the live / dead / unclassifiable verdicts into `telemetry`'s
+    /// deterministic counters (also emitted as the det-class
+    /// `classification` event and the `classify/*` gauges), then freezes
+    /// the result with the handle's counter totals.
+    pub fn new(
+        epoch: u64,
+        program: Program,
+        callgraph: CallGraph,
+        liveness: Liveness,
+        used: HashSet<ClassId>,
+        telemetry: &Telemetry,
+    ) -> EpochSnapshot {
+        let mut tail = Counters {
+            reachable_functions: callgraph.reachable_count() as u64,
+            callgraph_edges: callgraph.edge_count() as u64,
+            instantiated_classes: callgraph.instantiated().len() as u64,
+            ..Counters::default()
+        };
+        for (cid, class) in program.classes() {
+            for idx in 0..class.members.len() {
+                let m = MemberRef::new(cid, idx);
+                // Mirror the report's precedence: unclassifiable trumps the
+                // live/dead verdict.
+                if liveness.is_unclassifiable(m) {
+                    tail.members_unclassifiable += 1;
+                } else if liveness.is_live(m) {
+                    tail.members_live += 1;
+                } else {
+                    tail.members_dead += 1;
+                }
+            }
+        }
+        telemetry.add_counters(&tail);
+        telemetry.event(EventClass::Deterministic, "classification", || {
+            vec![
+                ("reachable_functions", tail.reachable_functions.into()),
+                ("callgraph_edges", tail.callgraph_edges.into()),
+                ("instantiated_classes", tail.instantiated_classes.into()),
+                ("live", tail.members_live.into()),
+                ("dead", tail.members_dead.into()),
+                ("unclassifiable", tail.members_unclassifiable.into()),
+            ]
+        });
+        telemetry.metrics(|m| {
+            m.gauge_set("classify/members_live", tail.members_live as i64);
+            m.gauge_set("classify/members_dead", tail.members_dead as i64);
+            m.gauge_set(
+                "classify/members_unclassifiable",
+                tail.members_unclassifiable as i64,
+            );
+        });
+        EpochSnapshot {
+            epoch,
+            program,
+            callgraph,
+            liveness,
+            used,
+            counters: telemetry.counters(),
+        }
+    }
+
     /// The epoch id this snapshot was published as (one-shot runs: 0).
     pub fn epoch(&self) -> u64 {
         self.epoch
     }
 
-    /// The per-TU source maps, in input order.
-    pub fn sources(&self) -> &SourceSet {
-        &self.sources
-    }
-
-    /// The input file names, in input order.
-    pub fn files(&self) -> &[String] {
-        &self.files
-    }
-
-    /// The linked whole-program view with its per-TU provenance.
-    pub fn linked(&self) -> &LinkedProgram {
-        &self.linked
-    }
-
-    /// The linked program model.
+    /// The analysed program model (the linked one for a project).
     pub fn program(&self) -> &Program {
-        self.linked.program()
+        &self.program
     }
 
     /// The call graph that scoped the analysis.
@@ -85,11 +129,6 @@ impl EpochSnapshot {
         &self.used
     }
 
-    /// The configuration the run used.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
     /// The deterministic counters the run accumulated on its telemetry
     /// handle. Meaningful when the build used a fresh enabled handle
     /// (serve mode builds one per epoch); all-zero under a disabled
@@ -98,20 +137,19 @@ impl EpochSnapshot {
         &self.counters
     }
 
-    /// Builds the report over the linked program.
+    /// Builds the report.
     pub fn report(&self) -> Report {
-        Report::new(self.linked.program(), &self.liveness, &self.used)
+        Report::new(&self.program, &self.liveness, &self.used)
     }
 
     /// The full analysis output, byte-identical to what a one-shot
     /// `ddm` run over the same files prints to stdout.
     pub fn render_report(&self, layout: bool) -> String {
-        let report = self.report();
         render_analysis(
-            self.linked.program(),
+            &self.program,
             &self.callgraph,
             &self.liveness,
-            &report,
+            &self.report(),
             layout,
         )
     }
@@ -124,14 +162,14 @@ impl EpochSnapshot {
     /// Propagates [`ExplainError`] (`bad_request` for a malformed spec,
     /// `not_found` for a well-formed spec naming nothing).
     pub fn render_explain(&self, spec: &str) -> Result<String, ExplainError> {
-        explain(self.linked.program(), &self.callgraph, &self.liveness, spec)
+        explain(&self.program, &self.callgraph, &self.liveness, spec)
     }
 
     /// The `== deterministic counters ==` section of `--stats`,
     /// byte-identical to the same section of a one-shot run's stderr
     /// (the deterministic-counter contract makes the section identical
-    /// across jobs, engines, and cache states, so it is the one part of
-    /// `--stats` a byte-equality oracle can pin).
+    /// across jobs and cache states, so it is the one part of `--stats`
+    /// a byte-equality oracle can pin).
     pub fn render_counters(&self) -> String {
         format!(
             "== deterministic counters ==\n{}",
@@ -171,9 +209,9 @@ impl EpochCell {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analysis::AnalysisConfig;
     use crate::project::ProjectPipeline;
     use ddm_callgraph::Algorithm;
-    use ddm_telemetry::Telemetry;
 
     fn snapshot(epoch: u64) -> Arc<EpochSnapshot> {
         let inputs = vec![(

@@ -34,11 +34,11 @@ pub mod serve;
 pub mod snapshot;
 
 pub use analysis::{replay_liveness_telemetry, AnalysisConfig, DeadMemberAnalysis, SizeofPolicy};
-pub use eliminate::{eliminate, eliminate_with, Elimination, KeepReason};
+pub use eliminate::{eliminate_with, Elimination, KeepReason};
 pub use epoch::{EpochCell, EpochSnapshot};
 pub use explain::{explain, witness_path, ExplainError};
 pub use liveness::{LiveReason, Liveness, LivenessParts, Origin};
-pub use pipeline::{record_classification, AnalysisPipeline, Engine, PipelineError};
+pub use pipeline::{AnalysisPipeline, Engine, PipelineError};
 pub use project::{config_fingerprint, ProjectError, ProjectPipeline};
 pub use report::{render_analysis, ClassReport, Report};
 pub use serve::{serve, ServeOptions};

@@ -2,15 +2,16 @@
 //! dead-member analysis → report.
 
 use crate::analysis::{AnalysisConfig, DeadMemberAnalysis};
+use crate::epoch::EpochSnapshot;
 use crate::liveness::Liveness;
-use crate::report::Report;
-use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
+use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions, CgSchedule};
 use ddm_cppfront::{parse, ParseError};
-use ddm_hierarchy::{body_walk_count, ClassId, Program, ProgramSummary, SemaError, TypeError};
-use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
-use std::collections::HashSet;
+use ddm_hierarchy::{body_walk_count, Program, ProgramSummary, SemaError, TypeError};
+use ddm_telemetry::{Counters, Telemetry, LANE_MAIN};
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
+use std::time::Instant;
 
 /// The analysis engine. There is one: the walk-once summary engine, in
 /// which each function body is traversed exactly once to extract a
@@ -77,7 +78,13 @@ impl From<TypeError> for PipelineError {
     }
 }
 
-/// A completed analysis run, holding every intermediate artifact.
+/// A completed single-file analysis: the parsed translation unit (kept
+/// for `--run`, `--profile` and `--eliminate`) and the analysis result,
+/// which the pipeline dereferences to.
+///
+/// Single-file mode does not link: a 1-TU project run would emit the
+/// det `link_done` event and the `link/*`, `cache/*` and `frontend/*`
+/// metrics, which a plain `ddm x.cpp` run does not.
 ///
 /// # Examples
 ///
@@ -94,11 +101,15 @@ impl From<TypeError> for PipelineError {
 #[derive(Debug)]
 pub struct AnalysisPipeline {
     tu: ddm_cppfront::TranslationUnit,
-    program: Program,
-    callgraph: CallGraph,
-    liveness: Liveness,
-    used: HashSet<ClassId>,
-    config: AnalysisConfig,
+    analysis: EpochSnapshot,
+}
+
+impl Deref for AnalysisPipeline {
+    type Target = EpochSnapshot;
+
+    fn deref(&self) -> &EpochSnapshot {
+        &self.analysis
+    }
 }
 
 impl AnalysisPipeline {
@@ -109,46 +120,24 @@ impl AnalysisPipeline {
     ///
     /// Returns a [`PipelineError`] for parse, semantic, or type failures.
     pub fn from_source(source: &str) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config(source, AnalysisConfig::default(), Algorithm::Rta)
+        Self::with_config_telemetry(
+            source,
+            AnalysisConfig::default(),
+            Algorithm::Rta,
+            1,
+            &Telemetry::disabled(),
+        )
     }
 
-    /// Runs the full pipeline with an explicit configuration and call-graph
-    /// algorithm.
+    /// Runs the full pipeline with an explicit configuration and
+    /// call-graph algorithm, sharding summary extraction across `jobs`
+    /// worker threads. Every pipeline phase is spanned on the main lane
+    /// (workers record their own lanes), the deterministic counters are
+    /// accumulated, and the execution-stats snapshot is filled in.
     ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] for parse, semantic, or type failures.
-    pub fn with_config(
-        source: &str,
-        config: AnalysisConfig,
-        algorithm: Algorithm,
-    ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_jobs(source, config, algorithm, 1)
-    }
-
-    /// Runs the full pipeline, sharding summary extraction across `jobs`
-    /// worker threads. Results are bit-identical for every `jobs` value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`PipelineError`] for parse, semantic, or type failures.
-    pub fn with_config_jobs(
-        source: &str,
-        config: AnalysisConfig,
-        algorithm: Algorithm,
-        jobs: usize,
-    ) -> Result<AnalysisPipeline, PipelineError> {
-        Self::with_config_telemetry(source, config, algorithm, jobs, &Telemetry::disabled())
-    }
-
-    /// [`AnalysisPipeline::with_config_jobs`] with telemetry: every
-    /// pipeline phase is spanned on the main lane (workers record their
-    /// own lanes), the deterministic counters are accumulated, and the
-    /// execution-stats snapshot is filled in.
-    ///
-    /// Telemetry observes the run but never steers it: the pipeline's
-    /// analysis artifacts are byte-identical whether the collector is
-    /// enabled, disabled, or absent.
+    /// Neither `jobs` nor telemetry steers the run: the analysis is
+    /// byte-identical for every worker count, and whether the collector
+    /// is enabled or disabled.
     ///
     /// # Errors
     ///
@@ -170,26 +159,12 @@ impl AnalysisPipeline {
         let program = Program::build(&tu)?;
         drop(sema_span);
 
-        let cg_options = CallGraphOptions {
-            algorithm,
-            library_classes: config
-                .library_classes
-                .iter()
-                .filter_map(|n| program.class_by_name(n))
-                .collect(),
-            ..Default::default()
-        };
         // Walk once: extract summaries (sharded across `jobs` workers),
         // then every downstream phase propagates over them without
         // touching an AST again.
         let summary =
             ProgramSummary::build_with(&program, algorithm == Algorithm::Pta, jobs, telemetry);
-        let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-        let (callgraph, _) =
-            CallGraph::build_from_summary_schedule(&program, &summary, &cg_options, telemetry)?;
-        drop(cg_span);
-        let (liveness, _) = DeadMemberAnalysis::new(&program, config.clone())
-            .run_summary_counted(&summary, &callgraph, telemetry)?;
+        let solved = solve(&program, &summary, &config, algorithm, telemetry)?;
         let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
         let used = summary.used_classes(&program)?;
         drop(used_span);
@@ -198,16 +173,9 @@ impl AnalysisPipeline {
             s.jobs = jobs as u64;
             s.bodies_walked += body_walk_count() - walks_before;
         });
-        record_classification(&program, &callgraph, &liveness, telemetry);
-
-        Ok(AnalysisPipeline {
-            tu,
-            program,
-            callgraph,
-            liveness,
-            used,
-            config,
-        })
+        let analysis =
+            EpochSnapshot::new(0, program, solved.callgraph, solved.liveness, used, telemetry);
+        Ok(AnalysisPipeline { tu, analysis })
     }
 
     /// Analyses a batch of named sources concurrently on `jobs` worker
@@ -217,7 +185,7 @@ impl AnalysisPipeline {
     ///
     /// Results are returned **in input order**, independent of which
     /// worker finished first — batch mode is as deterministic as a
-    /// `for` loop over [`AnalysisPipeline::with_config`].
+    /// `for` loop over [`AnalysisPipeline::with_config_telemetry`].
     pub fn run_suite(
         inputs: &[(String, String)],
         config: &AnalysisConfig,
@@ -231,6 +199,7 @@ impl AnalysisPipeline {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<Result<AnalysisPipeline, PipelineError>>>> =
             inputs.iter().map(|_| Mutex::new(None)).collect();
+        let quiet = Telemetry::disabled();
 
         std::thread::scope(|scope| {
             for _ in 0..jobs {
@@ -240,7 +209,8 @@ impl AnalysisPipeline {
                         let Some((_, source)) = inputs.get(i) else {
                             break;
                         };
-                        let result = Self::with_config(source, config.clone(), algorithm);
+                        let result =
+                            Self::with_config_telemetry(source, config.clone(), algorithm, 1, &quiet);
                         *slots[i].lock().expect("suite slot poisoned") = Some(result);
                     })
                     .expect("spawn suite worker");
@@ -264,88 +234,56 @@ impl AnalysisPipeline {
     pub fn translation_unit(&self) -> &ddm_cppfront::TranslationUnit {
         &self.tu
     }
-
-    /// The resolved program model.
-    pub fn program(&self) -> &Program {
-        &self.program
-    }
-
-    /// The call graph that scoped the analysis.
-    pub fn callgraph(&self) -> &CallGraph {
-        &self.callgraph
-    }
-
-    /// The per-member classification.
-    pub fn liveness(&self) -> &Liveness {
-        &self.liveness
-    }
-
-    /// The used-class set.
-    pub fn used(&self) -> &HashSet<ClassId> {
-        &self.used
-    }
-
-    /// The configuration the run used.
-    pub fn config(&self) -> &AnalysisConfig {
-        &self.config
-    }
-
-    /// Builds the report.
-    pub fn report(&self) -> Report {
-        Report::new(&self.program, &self.liveness, &self.used)
-    }
 }
 
-/// The classification tail shared by the single-TU and project pipelines
-/// (and the walk reference in the bench crate): counts the graph totals
-/// and the live / dead / unclassifiable verdicts into the deterministic
-/// counters, and emits them as the det-class `classification` event and
-/// the `classify/*` gauges.
-pub fn record_classification(
+/// The summary-engine fixpoint over one program: the call graph with its
+/// converged schedule, then the liveness scan with its counters, each
+/// phase's wall time alongside.
+pub(crate) struct Solved {
+    pub callgraph: CallGraph,
+    pub schedule: CgSchedule,
+    pub liveness: Liveness,
+    pub scan_counters: Counters,
+    pub callgraph_ns: u64,
+    pub liveness_ns: u64,
+}
+
+/// Builds the call graph and liveness from `summary` — the one solve the
+/// single-file pipeline, the project's fresh path, and its debug replay
+/// cross-check share.
+pub(crate) fn solve(
     program: &Program,
-    callgraph: &CallGraph,
-    liveness: &Liveness,
+    summary: &ProgramSummary,
+    config: &AnalysisConfig,
+    algorithm: Algorithm,
     telemetry: &Telemetry,
-) {
-    let mut tail = Counters {
-        reachable_functions: callgraph.reachable_count() as u64,
-        callgraph_edges: callgraph.edge_count() as u64,
-        instantiated_classes: callgraph.instantiated().len() as u64,
-        ..Counters::default()
+) -> Result<Solved, TypeError> {
+    let options = CallGraphOptions {
+        algorithm,
+        library_classes: config
+            .library_classes
+            .iter()
+            .filter_map(|n| program.class_by_name(n))
+            .collect(),
+        ..Default::default()
     };
-    for (cid, class) in program.classes() {
-        for idx in 0..class.members.len() {
-            let m = ddm_hierarchy::MemberRef::new(cid, idx);
-            // Mirror the report's precedence: unclassifiable trumps the
-            // live/dead verdict.
-            if liveness.is_unclassifiable(m) {
-                tail.members_unclassifiable += 1;
-            } else if liveness.is_live(m) {
-                tail.members_live += 1;
-            } else {
-                tail.members_dead += 1;
-            }
-        }
-    }
-    telemetry.add_counters(&tail);
-    telemetry.event(EventClass::Deterministic, "classification", || {
-        vec![
-            ("reachable_functions", tail.reachable_functions.into()),
-            ("callgraph_edges", tail.callgraph_edges.into()),
-            ("instantiated_classes", tail.instantiated_classes.into()),
-            ("live", tail.members_live.into()),
-            ("dead", tail.members_dead.into()),
-            ("unclassifiable", tail.members_unclassifiable.into()),
-        ]
-    });
-    telemetry.metrics(|m| {
-        m.gauge_set("classify/members_live", tail.members_live as i64);
-        m.gauge_set("classify/members_dead", tail.members_dead as i64);
-        m.gauge_set(
-            "classify/members_unclassifiable",
-            tail.members_unclassifiable as i64,
-        );
-    });
+    let cg_start = Instant::now();
+    let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
+    let (callgraph, schedule) =
+        CallGraph::build_from_summary_schedule(program, summary, &options, telemetry)?;
+    drop(cg_span);
+    let callgraph_ns = cg_start.elapsed().as_nanos() as u64;
+    let live_start = Instant::now();
+    let (liveness, scan_counters) = DeadMemberAnalysis::new(program, config.clone())
+        .run_summary_counted(summary, &callgraph, telemetry)?;
+    Ok(Solved {
+        callgraph,
+        schedule,
+        liveness,
+        scan_counters,
+        callgraph_ns,
+        liveness_ns: live_start.elapsed().as_nanos() as u64,
+    })
 }
 
 #[cfg(test)]

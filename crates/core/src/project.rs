@@ -4,9 +4,9 @@
 //! end (parse → model → walk-once summary → [`TuModule`] extraction)
 //! sharded across the worker pool, links the modules into one program
 //! ([`ddm_hierarchy::link`]), and drives the existing delta-fixpoint
-//! call graph and liveness over the linked result. Artifacts are
-//! bit-identical for every worker count, exactly like the single-TU
-//! [`AnalysisPipeline`](crate::AnalysisPipeline).
+//! call graph and liveness over the linked result. The result is an
+//! [`EpochSnapshot`], bit-identical for every worker count, exactly like
+//! the single-TU [`AnalysisPipeline`](crate::AnalysisPipeline)'s.
 //!
 //! With a cache directory, per-TU modules persist across runs keyed by
 //! the FNV-1a content hash of the TU source (plus a format version and
@@ -24,22 +24,21 @@
 //! directory is opened. The `DDM_CACHE_FAULT` environment variable
 //! injects crashes into the write path for the torture tests.
 
-use crate::analysis::{replay_liveness_telemetry, AnalysisConfig, DeadMemberAnalysis};
+use crate::analysis::{replay_liveness_telemetry, AnalysisConfig};
 use crate::epoch::EpochSnapshot;
 use crate::liveness::Liveness;
-use crate::pipeline::{record_classification, Engine, PipelineError};
-use crate::report::Report;
+use crate::pipeline::{solve, Engine, PipelineError, Solved};
 use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
-use ddm_callgraph::{replay_schedule, Algorithm, CallGraph, CallGraphOptions, CgSchedule};
-use ddm_cppfront::{parse, SourceMap, SourceSet};
+use ddm_callgraph::{replay_schedule, Algorithm, CallGraph};
+use ddm_cppfront::{parse, SourceMap};
 use ddm_hierarchy::{
-    analysis_thread, body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, ClassId,
-    FuncId, LinkDelta, LinkError, LinkedProgram, Program, ProgramSummary, TuModule, TypeError,
+    analysis_thread, body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, FuncId,
+    LinkDelta, LinkError, Program, ProgramSummary, TuModule, TypeError,
 };
-use ddm_telemetry::{Counters, EventClass, Telemetry, LANE_MAIN};
-use std::collections::HashSet;
+use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
 use std::error::Error;
 use std::fmt;
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,16 +77,19 @@ impl Error for ProjectError {
     }
 }
 
-/// A completed multi-TU analysis run.
-///
-/// Since the epoch refactor this is a thin handle over an immutable
-/// [`EpochSnapshot`] behind an `Arc`: one-shot callers keep the same
-/// accessor surface they always had, while serve mode takes the
-/// snapshot itself ([`ProjectPipeline::snapshot`]) and shares it across
-/// reader threads.
+/// A completed multi-TU analysis run: a shared handle to its
+/// [`EpochSnapshot`], which the pipeline dereferences to.
 #[derive(Debug)]
 pub struct ProjectPipeline {
     snapshot: Arc<EpochSnapshot>,
+}
+
+impl Deref for ProjectPipeline {
+    type Target = EpochSnapshot;
+
+    fn deref(&self) -> &EpochSnapshot {
+        &self.snapshot
+    }
 }
 
 /// The configuration fingerprint stored in every cache envelope. Only
@@ -664,15 +666,6 @@ impl ProjectPipeline {
         // --- Whole-program phases on the linked model, identical to the
         // single-TU pipeline. ---
         let program = linked.program();
-        let cg_options = CallGraphOptions {
-            algorithm,
-            library_classes: config
-                .library_classes
-                .iter()
-                .filter_map(|n| program.class_by_name(n))
-                .collect(),
-            ..Default::default()
-        };
         let attribute = |e: TypeError| -> ProjectError {
             let file = linked
                 .locate_error(&e)
@@ -706,12 +699,10 @@ impl ProjectPipeline {
             });
         }
 
-        let mut callgraph_ns = 0u64;
-        let mut liveness_ns = 0u64;
         // The graph and liveness with the converged schedule and scan
         // counters of whichever path ran, the latter two kept for the
         // snapshot write-back.
-        let mut replayed: Option<(CallGraph, Liveness, CgSchedule, Counters)> = None;
+        let mut replayed: Option<Solved> = None;
         if reusable {
             let snap = snapshot.as_ref().expect("the gate implies a snapshot");
             let cg_start = Instant::now();
@@ -724,7 +715,7 @@ impl ProjectPipeline {
                 Ok(callgraph) => {
                     replay_schedule(&callgraph, &snap.schedule, telemetry);
                     drop(cg_span);
-                    callgraph_ns = cg_start.elapsed().as_nanos() as u64;
+                    let callgraph_ns = cg_start.elapsed().as_nanos() as u64;
                     let live_start = Instant::now();
                     let liveness = Liveness::from_parts(
                         &snap.liveness,
@@ -735,13 +726,14 @@ impl ProjectPipeline {
                         callgraph.reachable_count(),
                         &snap.liveness_counters,
                     );
-                    liveness_ns = live_start.elapsed().as_nanos() as u64;
-                    replayed = Some((
+                    replayed = Some(Solved {
                         callgraph,
+                        schedule: snap.schedule.clone(),
                         liveness,
-                        snap.schedule.clone(),
-                        snap.liveness_counters,
-                    ));
+                        scan_counters: snap.liveness_counters,
+                        callgraph_ns,
+                        liveness_ns: live_start.elapsed().as_nanos() as u64,
+                    });
                 }
                 Err(reason) => {
                     // Structurally impossible after the gate; if
@@ -756,28 +748,10 @@ impl ProjectPipeline {
             }
         }
         let fixpoint_reused = replayed.is_some();
-        let (callgraph, liveness, schedule, scan_counters) = match replayed {
+        let solved = match replayed {
             Some(reused) => reused,
-            None => {
-                let cg_start = Instant::now();
-                let cg_span = telemetry.span(LANE_MAIN, || "callgraph".to_string());
-                let (callgraph, fresh_schedule) = CallGraph::build_from_summary_schedule(
-                    program,
-                    linked.summary(),
-                    &cg_options,
-                    telemetry,
-                )
-                .map_err(attribute)?;
-                drop(cg_span);
-                callgraph_ns = cg_start.elapsed().as_nanos() as u64;
-                let live_start = Instant::now();
-                let (liveness, fresh_counters) =
-                    DeadMemberAnalysis::new(program, config.clone())
-                        .run_summary_counted(linked.summary(), &callgraph, telemetry)
-                        .map_err(attribute)?;
-                liveness_ns = live_start.elapsed().as_nanos() as u64;
-                (callgraph, liveness, fresh_schedule, fresh_counters)
-            }
+            None => solve(program, linked.summary(), &config, algorithm, telemetry)
+                .map_err(attribute)?,
         };
         let used_span = telemetry.span(LANE_MAIN, || "used classes".to_string());
         let used = linked.summary().used_classes(program).map_err(attribute)?;
@@ -789,49 +763,46 @@ impl ProjectPipeline {
         // let an unsound edit through.
         #[cfg(debug_assertions)]
         if fixpoint_reused {
-            let quiet = Telemetry::disabled();
-            let (fresh_cg, mut fresh_schedule) = CallGraph::build_from_summary_schedule(
+            let mut fresh = solve(
                 program,
                 linked.summary(),
-                &cg_options,
-                &quiet,
+                &config,
+                algorithm,
+                &Telemetry::disabled(),
             )
             .map_err(attribute)?;
             debug_assert_eq!(
-                fresh_cg, callgraph,
+                fresh.callgraph, solved.callgraph,
                 "replayed call graph diverged from a fresh fixpoint"
             );
             // The interner digests the whole program — unreachable and
             // freshly added functions included — so its size may
             // legitimately drift under a gate-passing edit. It feeds
             // exec stats only, never the deterministic stream.
-            fresh_schedule.interned_symbols = schedule.interned_symbols;
-            fresh_schedule.arena_bytes = schedule.arena_bytes;
+            fresh.schedule.interned_symbols = solved.schedule.interned_symbols;
+            fresh.schedule.arena_bytes = solved.schedule.arena_bytes;
             debug_assert_eq!(
-                fresh_schedule, schedule,
+                fresh.schedule, solved.schedule,
                 "replayed schedule diverged from a fresh fixpoint"
             );
-            let (fresh_liveness, fresh_counters) = DeadMemberAnalysis::new(program, config.clone())
-                .run_summary_counted(linked.summary(), &fresh_cg, &quiet)
-                .map_err(attribute)?;
             debug_assert_eq!(
-                fresh_liveness, liveness,
+                fresh.liveness, solved.liveness,
                 "replayed liveness diverged from a fresh scan"
             );
             debug_assert_eq!(
-                fresh_liveness.to_parts().origins,
-                liveness.to_parts().origins,
+                fresh.liveness.to_parts().origins,
+                solved.liveness.to_parts().origins,
                 "replayed origins diverged from a fresh scan"
             );
             debug_assert_eq!(
-                fresh_counters, scan_counters,
+                fresh.scan_counters, solved.scan_counters,
                 "replayed scan counters diverged from a fresh scan"
             );
         }
 
         let snapshot_warm = u64::from(snapshot.is_some());
         let reused_fns = if fixpoint_reused {
-            callgraph.reachable_count() as u64
+            solved.callgraph.reachable_count() as u64
         } else {
             0
         };
@@ -847,13 +818,21 @@ impl ProjectPipeline {
             s.tus_summarized = todo.len() as u64;
             s.frontend_ns += frontend_ns;
             s.link_ns += link_ns;
-            s.callgraph_ns += callgraph_ns;
-            s.liveness_ns += liveness_ns;
+            s.callgraph_ns += solved.callgraph_ns;
+            s.liveness_ns += solved.liveness_ns;
             s.snapshot_warm_starts += snapshot_warm;
             s.snapshot_reused_fns += reused_fns;
             s.snapshot_frontier_fns += frontier_fns;
         });
-        record_classification(program, &callgraph, &liveness, telemetry);
+        let epoch = EpochSnapshot::new(
+            epoch,
+            linked.into_program(),
+            solved.callgraph,
+            solved.liveness,
+            used,
+            telemetry,
+        );
+        let program = epoch.program();
 
         // --- Snapshot write-back (best-effort, atomic). Skipped when
         // nothing changed and the fixpoint was replayed: the published
@@ -875,16 +854,17 @@ impl ProjectPipeline {
                     // The module list is dead after this point, so
                     // the snapshot takes it instead of cloning it.
                     modules: std::mem::take(&mut modules),
-                    reachable_names: callgraph
+                    reachable_names: epoch
+                        .callgraph()
                         .reachable()
                         .map(|f| (f.index() as u32, program.func_display_name(f)))
                         .collect(),
                     class_count: program.class_count() as u32,
                     function_count: program.function_count() as u32,
-                    callgraph: callgraph.to_parts(),
-                    schedule,
-                    liveness: liveness.to_parts(),
-                    liveness_counters: scan_counters,
+                    callgraph: epoch.callgraph().to_parts(),
+                    schedule: solved.schedule,
+                    liveness: epoch.liveness().to_parts(),
+                    liveness_counters: solved.scan_counters,
                 };
                 let _ = std::fs::create_dir_all(dir);
                 snap.save(dir);
@@ -896,73 +876,13 @@ impl ProjectPipeline {
                 });
             }
         }
-
-        let mut sources = SourceSet::new();
-        for (file, source) in inputs {
-            sources.push(SourceMap::new(file.clone(), source.clone()));
-        }
-        Ok(Arc::new(EpochSnapshot {
-            epoch,
-            sources,
-            files: inputs.iter().map(|(f, _)| f.clone()).collect(),
-            linked,
-            callgraph,
-            liveness,
-            used,
-            config,
-            counters: telemetry.counters(),
-        }))
+        Ok(Arc::new(epoch))
     }
 
     /// A shared handle to the underlying immutable snapshot (a refcount
     /// bump — this is what serve-mode readers clone per query).
     pub fn snapshot(&self) -> Arc<EpochSnapshot> {
         Arc::clone(&self.snapshot)
-    }
-
-    /// The per-TU source maps, in input order.
-    pub fn sources(&self) -> &SourceSet {
-        self.snapshot.sources()
-    }
-
-    /// The input file names, in input order.
-    pub fn files(&self) -> &[String] {
-        self.snapshot.files()
-    }
-
-    /// The linked whole-program view with its per-TU provenance.
-    pub fn linked(&self) -> &LinkedProgram {
-        self.snapshot.linked()
-    }
-
-    /// The linked program model.
-    pub fn program(&self) -> &Program {
-        self.snapshot.program()
-    }
-
-    /// The call graph that scoped the analysis.
-    pub fn callgraph(&self) -> &CallGraph {
-        self.snapshot.callgraph()
-    }
-
-    /// The per-member classification.
-    pub fn liveness(&self) -> &Liveness {
-        self.snapshot.liveness()
-    }
-
-    /// The used-class set.
-    pub fn used(&self) -> &HashSet<ClassId> {
-        self.snapshot.used()
-    }
-
-    /// The configuration the run used.
-    pub fn config(&self) -> &AnalysisConfig {
-        self.snapshot.config()
-    }
-
-    /// Builds the report over the linked program.
-    pub fn report(&self) -> Report {
-        self.snapshot.report()
     }
 }
 

@@ -14,6 +14,10 @@
 //! | `{"cmd":"epoch"}` | current epoch id, rebuild status, last build timings |
 //! | `{"cmd":"shutdown"}` | acknowledge and exit cleanly (EOF works too) |
 //!
+//! A request line longer than [`MAX_REQUEST_BYTES`], or one that is not
+//! UTF-8 or not a JSON object with a string `cmd`, is answered with a
+//! `bad_request` error in sequence, and the daemon keeps serving.
+//!
 //! Every `report`/`explain`/`stats` response is **byte-identical to a
 //! fresh one-shot `ddm` invocation over the same file state** — the
 //! queries render through the exact functions the CLI prints through
@@ -123,6 +127,51 @@ struct Shared {
 }
 
 const NO_EPOCH_MSG: &str = "no analysis epoch published yet; send analyze first";
+
+/// The longest request line the daemon buffers (1 MiB, newline
+/// excluded). A longer line is answered with `bad_request` and the rest
+/// of it is discarded unread into memory, so a hostile line costs the
+/// daemon at most this much.
+pub const MAX_REQUEST_BYTES: usize = 1 << 20;
+
+/// Reads the next request line, buffering at most [`MAX_REQUEST_BYTES`]
+/// of it. `None` at end of input; `Some(Err(message))` for a line that
+/// is too long or not UTF-8.
+fn read_request(input: &mut impl BufRead) -> std::io::Result<Option<Result<String, String>>> {
+    let mut line = Vec::new();
+    let mut too_long = false;
+    loop {
+        let chunk = match input.fill_buf() {
+            Ok(chunk) => chunk,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if chunk.is_empty() {
+            if line.is_empty() && !too_long {
+                return Ok(None);
+            }
+            break;
+        }
+        let newline = chunk.iter().position(|&b| b == b'\n');
+        let part = &chunk[..newline.unwrap_or(chunk.len())];
+        too_long |= line.len() + part.len() > MAX_REQUEST_BYTES;
+        if too_long {
+            line = Vec::new();
+        } else {
+            line.extend_from_slice(part);
+        }
+        let used = newline.map_or(chunk.len(), |i| i + 1);
+        input.consume(used);
+        if newline.is_some() {
+            break;
+        }
+    }
+    Ok(Some(if too_long {
+        Err(format!("request line longer than {MAX_REQUEST_BYTES} bytes"))
+    } else {
+        String::from_utf8(line).map_err(|_| "request line is not valid UTF-8".to_string())
+    }))
+}
 
 fn ok_output(cmd: &str, epoch: u64, output: &str) -> String {
     format!(
@@ -247,7 +296,7 @@ fn wants_wait(request: &json::Value) -> bool {
 /// previous epoch published.
 pub fn serve(
     opts: &ServeOptions,
-    input: impl BufRead,
+    mut input: impl BufRead,
     output: impl Write + Send,
 ) -> Result<(), String> {
     if let Some(path) = &opts.log_out {
@@ -345,8 +394,17 @@ pub fn serve(
             done_rx.recv().map_err(|_| "builder gone".to_string())
         };
 
-        for line in input.lines() {
-            let line = line.map_err(|e| format!("request read failed: {e}"))?;
+        while let Some(line) =
+            read_request(&mut input).map_err(|e| format!("request read failed: {e}"))?
+        {
+            let line = match line {
+                Ok(line) => line,
+                Err(message) => {
+                    respond(seq, error_line("?", "bad_request", &message))?;
+                    seq += 1;
+                    continue;
+                }
+            };
             let trimmed = line.trim();
             if trimmed.is_empty() {
                 continue;
@@ -557,7 +615,10 @@ mod tests {
     }
 
     fn drive(opts: &ServeOptions, requests: &[String]) -> Vec<json::Value> {
-        let input = requests.join("\n") + "\n";
+        drive_bytes(opts, (requests.join("\n") + "\n").into_bytes())
+    }
+
+    fn drive_bytes(opts: &ServeOptions, input: Vec<u8>) -> Vec<json::Value> {
         let mut out: Vec<u8> = Vec::new();
         serve(opts, Cursor::new(input), &mut out).expect("serve");
         let text = String::from_utf8(out).expect("utf8");
@@ -652,6 +713,38 @@ mod tests {
         );
         assert_eq!(field(&responses[1], "ok").as_bool(), Some(true));
         assert_eq!(field(&responses[1], "cmd").as_str(), Some("shutdown"));
+    }
+
+    /// `responses` answer a bad line, then `epoch`, then `shutdown`.
+    fn assert_bad_line_then_served(responses: &[json::Value], message: &str) {
+        assert_eq!(responses.len(), 3);
+        assert_eq!(field(&responses[0], "error").as_str(), Some("bad_request"));
+        assert_eq!(field(&responses[0], "message").as_str(), Some(message));
+        assert_eq!(field(&responses[1], "cmd").as_str(), Some("epoch"));
+        assert_eq!(field(&responses[2], "ok").as_bool(), Some(true));
+        assert_eq!(field(&responses[2], "cmd").as_str(), Some("shutdown"));
+    }
+
+    #[test]
+    fn an_over_long_request_line_is_a_bad_request_and_serving_continues() {
+        let mut input = vec![b'['; MAX_REQUEST_BYTES + 1];
+        input.extend_from_slice(b"\n{\"cmd\":\"epoch\"}\n{\"cmd\":\"shutdown\"}\n");
+        let message = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+        assert_bad_line_then_served(&drive_bytes(&default_opts(), input), &message);
+        // A line of exactly the cap is read whole.
+        let mut at_cap = b"{\"cmd\":\"epoch\"}".to_vec();
+        at_cap.resize(MAX_REQUEST_BYTES, b' ');
+        at_cap.extend_from_slice(b"\n{\"cmd\":\"shutdown\"}\n");
+        let responses = drive_bytes(&default_opts(), at_cap);
+        assert_eq!(field(&responses[0], "cmd").as_str(), Some("epoch"));
+        assert_eq!(field(&responses[1], "cmd").as_str(), Some("shutdown"));
+    }
+
+    #[test]
+    fn a_non_utf8_request_line_is_a_bad_request_and_serving_continues() {
+        let input = b"\xff\n{\"cmd\":\"epoch\"}\n{\"cmd\":\"shutdown\"}\n".to_vec();
+        let responses = drive_bytes(&default_opts(), input);
+        assert_bad_line_then_served(&responses, "request line is not valid UTF-8");
     }
 
     #[test]

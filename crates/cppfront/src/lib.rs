@@ -43,4 +43,4 @@ pub use ast::TranslationUnit;
 pub use diag::{ParseError, ParseErrorKind};
 pub use parser::parse;
 pub use pretty::{print_expr, print_stmt, print_unit};
-pub use span::{LineCol, SourceMap, SourceSet, Span};
+pub use span::{LineCol, SourceMap, Span};

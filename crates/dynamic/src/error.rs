@@ -34,6 +34,9 @@ pub enum RuntimeError {
     },
     /// The step budget was exhausted (likely an infinite loop).
     OutOfFuel,
+    /// Calls nested past the call-depth budget (likely runaway
+    /// recursion); carries the budget.
+    CallDepth(usize),
     /// A construct the interpreter does not model.
     Unsupported(String),
     /// A value had the wrong shape for an operation.
@@ -61,6 +64,9 @@ impl fmt::Display for RuntimeError {
                 write!(f, "index {index} out of bounds for length {len}")
             }
             RuntimeError::OutOfFuel => write!(f, "execution step budget exhausted"),
+            RuntimeError::CallDepth(limit) => {
+                write!(f, "call depth budget exhausted ({limit} nested calls)")
+            }
             RuntimeError::Unsupported(what) => write!(f, "unsupported at runtime: {what}"),
             RuntimeError::TypeMismatch(what) => write!(f, "type mismatch: {what}"),
             RuntimeError::Lookup(what) => write!(f, "member lookup failed: {what}"),

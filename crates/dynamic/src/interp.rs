@@ -28,6 +28,16 @@ use ddm_hierarchy::{
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
 
+/// The deepest chain of active calls — functions, constructors, and
+/// destructors — an execution may build before failing with
+/// [`RuntimeError::CallDepth`]. The interpreter recurses on the host
+/// stack once per call, so runaway recursion must stop here rather than
+/// overflow it. Measured on an 8 MiB main thread, simple recursion
+/// (`return f(n - 1) + 1;`) overflows at about 335 levels in a debug
+/// build and 2,670 in a release build; the deepest suite program reaches
+/// 13.
+pub const MAX_CALL_DEPTH: usize = 256;
+
 /// Execution options.
 #[derive(Debug, Clone)]
 pub struct RunConfig {
@@ -102,6 +112,7 @@ impl<'p> Interpreter<'p> {
             output: String::new(),
             fuel: config.fuel,
             start_fuel: config.fuel,
+            depth: 0,
             members_observed: BTreeSet::new(),
         };
         m.init_globals()?;
@@ -207,6 +218,8 @@ struct Machine<'p> {
     output: String,
     fuel: u64,
     start_fuel: u64,
+    /// Calls (functions, constructors, destructors) currently active.
+    depth: usize,
     members_observed: BTreeSet<MemberRef>,
 }
 
@@ -241,7 +254,31 @@ impl<'p> Machine<'p> {
 
     // ----- functions -------------------------------------------------------
 
+    /// Runs `body` as one more active call (a function, constructor, or
+    /// destructor), failing past [`MAX_CALL_DEPTH`].
+    fn nested<T>(
+        &mut self,
+        body: impl FnOnce(&mut Self) -> Result<T, RuntimeError>,
+    ) -> Result<T, RuntimeError> {
+        if self.depth == MAX_CALL_DEPTH {
+            return Err(RuntimeError::CallDepth(MAX_CALL_DEPTH));
+        }
+        self.depth += 1;
+        let result = body(self);
+        self.depth -= 1;
+        result
+    }
+
     fn call_function(
+        &mut self,
+        func: FuncId,
+        args: Vec<Arg>,
+        this_obj: Option<ObjId>,
+    ) -> Result<Value, RuntimeError> {
+        self.nested(|m| m.call_body(func, args, this_obj))
+    }
+
+    fn call_body(
         &mut self,
         func: FuncId,
         args: Vec<Arg>,
@@ -281,6 +318,15 @@ impl<'p> Machine<'p> {
     /// Runs constructors for `obj` viewed as `class`: base constructors
     /// (init-list args or default), member initializers, then the body.
     fn construct(
+        &mut self,
+        obj: ObjId,
+        class: ClassId,
+        args: Vec<Value>,
+    ) -> Result<Value, RuntimeError> {
+        self.nested(|m| m.construct_body(obj, class, args))
+    }
+
+    fn construct_body(
         &mut self,
         obj: ObjId,
         class: ClassId,
@@ -375,6 +421,10 @@ impl<'p> Machine<'p> {
     /// Runs destructors for `obj`, starting from its dynamic class: the
     /// body, then member destructors, then base destructors.
     fn destruct(&mut self, obj: ObjId, class: ClassId) -> Result<(), RuntimeError> {
+        self.nested(|m| m.destruct_body(obj, class))
+    }
+
+    fn destruct_body(&mut self, obj: ObjId, class: ClassId) -> Result<(), RuntimeError> {
         self.step()?;
         if let Some(dtor) = self.program.destructor(class) {
             if let Some(body) = self.program.function(dtor).body.clone() {

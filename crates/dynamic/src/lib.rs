@@ -34,6 +34,6 @@ pub mod value;
 
 pub use error::RuntimeError;
 pub use heap::{AllocKind, HeapEvent, HeapTrace, ObjectStore};
-pub use interp::{Execution, Interpreter, RunConfig};
+pub use interp::{Execution, Interpreter, RunConfig, MAX_CALL_DEPTH};
 pub use profile::{profile_trace, HeapProfile};
 pub use value::{CellRef, ObjId, PtrTarget, Value};

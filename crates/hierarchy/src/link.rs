@@ -61,8 +61,6 @@ pub struct LinkedProgram {
     program: Program,
     summary: ProgramSummary,
     fn_tu: Vec<usize>,
-    class_tu: Vec<usize>,
-    global_tu: Vec<usize>,
     globals_err_tu: Option<usize>,
 }
 
@@ -77,19 +75,15 @@ impl LinkedProgram {
         &self.summary
     }
 
+    /// The assembled model alone, once the summary and the provenance
+    /// are no longer needed.
+    pub fn into_program(self) -> Program {
+        self.program
+    }
+
     /// The TU that provided `func`'s summary (its defining TU).
     pub fn fn_tu(&self, func: FuncId) -> usize {
         self.fn_tu[func.index()]
-    }
-
-    /// The TU whose definition of `class` won the ODR merge.
-    pub fn class_tu(&self, class: ClassId) -> usize {
-        self.class_tu[class.index()]
-    }
-
-    /// The TU that defined global number `index`.
-    pub fn global_tu(&self, index: usize) -> usize {
-        self.global_tu[index]
     }
 
     /// Best-effort attribution of an analysis-phase [`TypeError`] to the
@@ -355,7 +349,6 @@ pub fn link_with(
         .collect();
 
     let mut classes: Vec<ClassInfo> = Vec::with_capacity(class_order.len());
-    let mut class_tu: Vec<usize> = Vec::with_capacity(class_order.len());
     let mut functions: Vec<FunctionInfo> = Vec::new();
     let mut fn_tu: Vec<usize> = Vec::new();
     let mut fn_summaries: Vec<&SymResult> = Vec::new();
@@ -424,7 +417,6 @@ pub fn link_with(
             methods,
             span: Span::dummy(),
         });
-        class_tu.push(t);
     }
 
     for name in &free_order {
@@ -464,7 +456,6 @@ pub fn link_with(
 
     // --- Globals, concatenated in TU order. ---
     let mut globals: Vec<GlobalInfo> = Vec::new();
-    let mut global_tu: Vec<usize> = Vec::new();
     for (t, m) in modules.iter().enumerate() {
         for g in &m.globals {
             let init = parsed[t].as_ref().and_then(|p| {
@@ -479,7 +470,6 @@ pub fn link_with(
                 init,
                 span: Span::dummy(),
             });
-            global_tu.push(t);
         }
     }
 
@@ -543,8 +533,6 @@ pub fn link_with(
         program,
         summary,
         fn_tu,
-        class_tu,
-        global_tu,
         globals_err_tu,
     })
 }
@@ -805,7 +793,6 @@ public:
         assert_eq!(linked.program().class_count(), 1);
         // 3 methods + touch + main.
         assert_eq!(linked.program().function_count(), 5);
-        assert_eq!(linked.class_tu(ClassId::from_index(0)), 0);
         // `touch` first appears in a.cpp as a prototype, but its summary
         // comes from the defining TU.
         let touch = linked.program().free_function("touch").unwrap();

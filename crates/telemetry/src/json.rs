@@ -2,13 +2,12 @@
 //! tree codec.
 //!
 //! The workspace has no serde; the trace exporter renders JSON by hand
-//! and the CI gate needs to prove the result actually parses. `validate`
-//! is a full RFC 8259 syntax validator (values, nesting, strings with
-//! escapes, numbers) that accepts or rejects without building a tree.
-//! [`Value`] / [`parse`] / [`Value::render`] add the tree form used by
-//! the persistent summary cache: integers only (the cache codec never
-//! emits floats — `parse` rejects fractions and exponents so a corrupted
-//! entry fails loudly instead of rounding silently).
+//! and the CI gate needs to prove the result actually parses. There is
+//! one grammar: [`parse`] / [`parse_lenient`] build a [`Value`] tree, and
+//! [`validate`] is [`parse_lenient`] with the tree dropped. The strict
+//! [`parse`] is integers only, for the persistent summary cache (the
+//! cache codec never emits floats — a fraction or exponent makes a
+//! corrupted entry fail loudly instead of rounding silently).
 
 /// Escapes `s` for inclusion inside a JSON string literal.
 pub fn escape(s: &str) -> String {
@@ -27,25 +26,14 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// Validates that `s` is one complete JSON value.
+/// Validates that `s` is one complete JSON value: [`parse_lenient`]
+/// with the tree dropped.
 ///
 /// # Errors
 ///
 /// Returns a message with the byte offset of the first syntax error.
 pub fn validate(s: &str) -> Result<(), String> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-        lenient: false,
-        depth: 0,
-    };
-    p.skip_ws();
-    p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(format!("trailing data at byte {}", p.pos));
-    }
-    Ok(())
+    parse_lenient(s).map(|_| ())
 }
 
 /// A parsed JSON value.
@@ -61,10 +49,11 @@ pub enum Value {
     Bool(bool),
     /// An integer (the only number form the codec reads or writes).
     Int(i64),
-    /// A non-integer number, kept as its source lexeme. Only
-    /// [`parse_lenient`] produces this: the BENCH_*.json reports carry
-    /// speedup ratios and scaling exponents, and preserving the lexeme
-    /// keeps [`Value`] `Eq` and re-rendering byte-faithful.
+    /// A non-integer number, or an integer outside the `i64` range, kept
+    /// as its source lexeme. Only [`parse_lenient`] produces this: the
+    /// BENCH_*.json reports carry speedup ratios and scaling exponents,
+    /// and preserving the lexeme keeps [`Value`] `Eq` and re-rendering
+    /// byte-faithful.
     Num(String),
     /// A string (unescaped).
     Str(String),
@@ -188,8 +177,9 @@ pub fn parse(s: &str) -> Result<Value, String> {
     parse_with(s, false)
 }
 
-/// Parses `s` into a [`Value`] tree, accepting non-integer numbers as
-/// lexeme-preserving [`Value::Num`] nodes.
+/// Parses `s` into a [`Value`] tree, accepting non-integer numbers and
+/// integers outside the `i64` range as lexeme-preserving [`Value::Num`]
+/// nodes.
 ///
 /// The strict [`parse`] guards the summary cache, where a float marks a
 /// foreign document; the BENCH_*.json reports legitimately carry speedup
@@ -211,7 +201,7 @@ fn parse_with(s: &str, lenient: bool) -> Result<Value, String> {
         depth: 0,
     };
     p.skip_ws();
-    let v = p.tree_value()?;
+    let v = p.value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
         return Err(format!("trailing data at byte {}", p.pos));
@@ -219,8 +209,8 @@ fn parse_with(s: &str, lenient: bool) -> Result<Value, String> {
     Ok(v)
 }
 
-/// Deepest array/object nesting either parser accepts (serde_json's
-/// default recursion limit). Both parsers recurse once per level, so the
+/// Deepest array/object nesting the parser accepts (serde_json's
+/// default recursion limit). The parser recurses once per level, so the
 /// cap keeps a hostile document — a serve request line of 100k `[` —
 /// from overflowing the stack; every document this repository writes is
 /// at most 6 levels deep.
@@ -274,130 +264,6 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<(), String> {
-        match self.peek() {
-            Some(b'{') => self.nested(Self::object),
-            Some(b'[') => self.nested(Self::array),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(b'-' | b'0'..=b'9') => self.number(),
-            _ => Err(format!("expected a value at byte {}", self.pos)),
-        }
-    }
-
-    fn object(&mut self) -> Result<(), String> {
-        self.expect(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or '}}' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<(), String> {
-        self.expect(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value()?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                _ => return Err(format!("expected ',' or ']' at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.expect(b'"')?;
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.pos += 1;
-                        }
-                        Some(b'u') => {
-                            self.pos += 1;
-                            for _ in 0..4 {
-                                if !self.peek().is_some_and(|b| b.is_ascii_hexdigit()) {
-                                    return Err(format!(
-                                        "bad \\u escape at byte {}",
-                                        self.pos
-                                    ));
-                                }
-                                self.pos += 1;
-                            }
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(b) if b < 0x20 => {
-                    return Err(format!("raw control byte in string at {}", self.pos))
-                }
-                Some(_) => self.pos += 1,
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        if !self.digits()? {
-            return Err(format!("expected a digit at byte {}", self.pos));
-        }
-        if self.peek() == Some(b'.') {
-            self.pos += 1;
-            if !self.digits()? {
-                return Err(format!("expected a fraction digit at byte {}", self.pos));
-            }
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.pos += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.pos += 1;
-            }
-            if !self.digits()? {
-                return Err(format!("expected an exponent digit at byte {}", self.pos));
-            }
-        }
-        Ok(())
-    }
-
     fn digits(&mut self) -> Result<bool, String> {
         let start = self.pos;
         while self.peek().is_some_and(|b| b.is_ascii_digit()) {
@@ -406,22 +272,20 @@ impl Parser<'_> {
         Ok(self.pos > start)
     }
 
-    // -- tree-building variants (used by `parse`) --
-
-    fn tree_value(&mut self) -> Result<Value, String> {
+    fn value(&mut self) -> Result<Value, String> {
         match self.peek() {
-            Some(b'{') => self.nested(Self::tree_object),
-            Some(b'[') => self.nested(Self::tree_array),
-            Some(b'"') => self.tree_string().map(Value::Str),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'"') => self.string().map(Value::Str),
             Some(b't') => self.literal("true").map(|()| Value::Bool(true)),
             Some(b'f') => self.literal("false").map(|()| Value::Bool(false)),
             Some(b'n') => self.literal("null").map(|()| Value::Null),
-            Some(b'-' | b'0'..=b'9') => self.tree_int(),
+            Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("expected a value at byte {}", self.pos)),
         }
     }
 
-    fn tree_object(&mut self) -> Result<Value, String> {
+    fn object(&mut self) -> Result<Value, String> {
         self.expect(b'{')?;
         self.skip_ws();
         let mut fields = Vec::new();
@@ -431,11 +295,11 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            let key = self.tree_string()?;
+            let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            let value = self.tree_value()?;
+            let value = self.value()?;
             fields.push((key, value));
             self.skip_ws();
             match self.peek() {
@@ -449,7 +313,7 @@ impl Parser<'_> {
         }
     }
 
-    fn tree_array(&mut self) -> Result<Value, String> {
+    fn array(&mut self) -> Result<Value, String> {
         self.expect(b'[')?;
         self.skip_ws();
         let mut items = Vec::new();
@@ -459,7 +323,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.tree_value()?);
+            items.push(self.value()?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -472,7 +336,7 @@ impl Parser<'_> {
         }
     }
 
-    fn tree_string(&mut self) -> Result<String, String> {
+    fn string(&mut self) -> Result<String, String> {
         self.expect(b'"')?;
         let mut out = String::new();
         loop {
@@ -544,7 +408,7 @@ impl Parser<'_> {
         }
     }
 
-    fn tree_int(&mut self) -> Result<Value, String> {
+    fn number(&mut self) -> Result<Value, String> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
@@ -578,9 +442,11 @@ impl Parser<'_> {
             return Ok(Value::Num(lexeme.to_string()));
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
-        text.parse::<i64>()
-            .map(Value::Int)
-            .map_err(|_| format!("integer out of range at byte {start}"))
+        match text.parse::<i64>() {
+            Ok(i) => Ok(Value::Int(i)),
+            Err(_) if self.lenient => Ok(Value::Num(text.to_string())),
+            Err(_) => Err(format!("integer out of range at byte {start}")),
+        }
     }
 }
 
@@ -613,6 +479,7 @@ mod tests {
             "{}",
             "{\"a\": [1, 2, {\"b\": null}], \"c\": \"d\"}",
             "  [1, 2.0, -3]  ",
+            "18446744073709551615",
         ] {
             assert!(validate(doc).is_ok(), "should accept {doc:?}");
         }

@@ -294,6 +294,13 @@ pub struct Telemetry {
     inner: Option<Inner>,
 }
 
+/// The default handle is [`Telemetry::disabled`].
+impl Default for Telemetry {
+    fn default() -> Telemetry {
+        Telemetry::disabled()
+    }
+}
+
 impl Telemetry {
     /// A no-op handle: no clock, no allocation, every operation is a
     /// branch on `None`.

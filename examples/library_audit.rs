@@ -10,6 +10,7 @@
 
 use dead_data_members::analysis::{AnalysisConfig, AnalysisPipeline};
 use dead_data_members::callgraph::Algorithm;
+use dead_data_members::telemetry::Telemetry;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for name in dead_data_members::benchmarks::LIBRARY_USERS {
@@ -59,13 +60,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             return report_clicks(&w);
         }
     "#;
-    let run = AnalysisPipeline::with_config(
+    let run = AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig {
             library_classes: ["LibWidget".to_string()].into_iter().collect(),
             ..Default::default()
         },
         Algorithm::Rta,
+        1,
+        &Telemetry::disabled(),
     )?;
     let report = run.report();
     println!("\n== library-class handling (§3.3)");

@@ -7,7 +7,7 @@
 //! cargo run --release --example optimize
 //! ```
 
-use dead_data_members::analysis::eliminate;
+use dead_data_members::analysis::eliminate_with;
 use dead_data_members::dynamic::{profile_trace, Interpreter, RunConfig};
 use dead_data_members::prelude::*;
 
@@ -20,7 +20,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let profile_before = profile_trace(before.program(), &exec_before.trace, before.liveness());
 
     // 2. Eliminate the dead members.
-    let result = eliminate(&before);
+    let result = eliminate_with(&before, &Telemetry::disabled());
     println!("removed {} dead member(s):", result.removed.len());
     for m in &result.removed {
         println!("  - {m}");

@@ -5,7 +5,7 @@
 //! parser cannot drift apart.
 
 use dead_data_members::analysis::{
-    eliminate_with, explain, render_analysis, serve, AnalysisConfig, AnalysisPipeline, Engine,
+    eliminate_with, serve, AnalysisConfig, AnalysisPipeline, Engine, EpochSnapshot,
     ProjectPipeline, ServeOptions, SizeofPolicy,
 };
 use dead_data_members::callgraph::Algorithm;
@@ -394,6 +394,12 @@ fn run_serve(opts: &Options) -> ExitCode {
     }
 }
 
+/// A finished analysis: single-file mode keeps the parsed AST.
+enum Analysed {
+    Single(AnalysisPipeline),
+    Project(ProjectPipeline),
+}
+
 fn analysis_config(opts: &Options) -> AnalysisConfig {
     AnalysisConfig {
         sizeof_policy: if opts.sizeof_conservative {
@@ -406,9 +412,12 @@ fn analysis_config(opts: &Options) -> AnalysisConfig {
     }
 }
 
-/// Multi-file (or cached) mode: the batch front end with the persistent
-/// summary cache.
-fn run_project(opts: &Options, telemetry: &Telemetry) -> ExitCode {
+/// Analyses the input files and prints the report or the `--explain`
+/// text from the one result type. Single-file mode (one input, no
+/// `--cache-dir`) keeps its parse-only front end and the parsed AST, for
+/// `--run`, `--profile`, and `--eliminate`; anything else runs the
+/// multi-TU batch front end with the persistent summary cache.
+fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
     let mut inputs = Vec::with_capacity(opts.files.len());
     for file in &opts.files {
         match std::fs::read_to_string(file) {
@@ -420,84 +429,45 @@ fn run_project(opts: &Options, telemetry: &Telemetry) -> ExitCode {
         }
     }
 
-    let project = match ProjectPipeline::run(
-        &inputs,
-        analysis_config(opts),
-        opts.algorithm,
-        opts.jobs,
-        Engine::Summary,
-        opts.cache_dir.as_deref().map(std::path::Path::new),
-        telemetry,
-    ) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-
-    if let Some(spec) = &opts.explain_spec {
-        match explain(project.program(), project.callgraph(), project.liveness(), spec) {
-            Ok(text) => {
-                print!("{text}");
-                return ExitCode::SUCCESS;
-            }
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                return ExitCode::from(2);
-            }
-        }
-    }
-
-    let report_span = telemetry.span(dead_data_members::telemetry::LANE_MAIN, || {
-        "report".to_string()
-    });
-    let report = project.report();
-    print!(
-        "{}",
-        render_analysis(
-            project.program(),
-            project.callgraph(),
-            project.liveness(),
-            &report,
-            opts.layout,
+    let single_file = inputs.len() == 1 && opts.cache_dir.is_none();
+    let analysed = if single_file {
+        AnalysisPipeline::with_config_telemetry(
+            &inputs[0].1,
+            analysis_config(opts),
+            opts.algorithm,
+            opts.jobs,
+            telemetry,
         )
-    );
-    drop(report_span);
-
-    ExitCode::SUCCESS
-}
-
-fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
-    if opts.files.len() > 1 || opts.cache_dir.is_some() {
-        return run_project(opts, telemetry);
-    }
-    let file = &opts.files[0];
-    let source = match std::fs::read_to_string(file) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: cannot read {file}: {e}");
-            return ExitCode::from(2);
-        }
+        .map(Analysed::Single)
+        .map_err(|e| e.to_string())
+    } else {
+        ProjectPipeline::run(
+            &inputs,
+            analysis_config(opts),
+            opts.algorithm,
+            opts.jobs,
+            Engine::Summary,
+            opts.cache_dir.as_deref().map(std::path::Path::new),
+            telemetry,
+        )
+        .map(Analysed::Project)
+        .map_err(|e| e.to_string())
     };
-
-    let pipeline = match AnalysisPipeline::with_config_telemetry(
-        &source,
-        analysis_config(opts),
-        opts.algorithm,
-        opts.jobs,
-        telemetry,
-    ) {
-        Ok(p) => p,
+    let analysed = match analysed {
+        Ok(a) => a,
         Err(e) => {
             eprintln!("error: {e}");
             return ExitCode::FAILURE;
         }
+    };
+    let analysis: &EpochSnapshot = match &analysed {
+        Analysed::Single(pipeline) => pipeline,
+        Analysed::Project(project) => project,
     };
 
     if let Some(spec) = &opts.explain_spec {
         // Provenance instead of the report.
-        match explain(pipeline.program(), pipeline.callgraph(), pipeline.liveness(), spec) {
+        match analysis.render_explain(spec) {
             Ok(text) => {
                 print!("{text}");
                 return ExitCode::SUCCESS;
@@ -512,19 +482,12 @@ fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
     let report_span = telemetry.span(dead_data_members::telemetry::LANE_MAIN, || {
         "report".to_string()
     });
-    let report = pipeline.report();
-    print!(
-        "{}",
-        render_analysis(
-            pipeline.program(),
-            pipeline.callgraph(),
-            pipeline.liveness(),
-            &report,
-            opts.layout,
-        )
-    );
+    print!("{}", analysis.render_report(opts.layout));
     drop(report_span);
 
+    let Analysed::Single(pipeline) = &analysed else {
+        return ExitCode::SUCCESS;
+    };
     if opts.run || opts.profile {
         match Interpreter::new(pipeline.program()).run(&RunConfig::default()) {
             Ok(exec) => {
@@ -557,7 +520,7 @@ fn run(opts: &Options, telemetry: &Telemetry) -> ExitCode {
     }
 
     if let Some(out) = &opts.eliminate_to {
-        let result = eliminate_with(&pipeline, telemetry);
+        let result = eliminate_with(pipeline, telemetry);
         if let Err(e) = std::fs::write(out, &result.source) {
             eprintln!("error: cannot write {out}: {e}");
             return ExitCode::FAILURE;

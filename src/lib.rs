@@ -51,8 +51,8 @@ pub use ddm_telemetry as telemetry;
 pub mod prelude {
     pub use ddm_callgraph::{Algorithm, CallGraph, CallGraphOptions};
     pub use ddm_core::{
-        explain, AnalysisConfig, AnalysisPipeline, DeadMemberAnalysis, Engine, Liveness, Origin,
-        Report, SizeofPolicy,
+        explain, AnalysisConfig, AnalysisPipeline, DeadMemberAnalysis, Engine, EpochSnapshot,
+        Liveness, Origin, Report, SizeofPolicy,
     };
     pub use ddm_cppfront::{parse, TranslationUnit};
     pub use ddm_dynamic::{HeapProfile, Interpreter, RunConfig};

@@ -5,10 +5,11 @@
 
 use dead_data_members::analysis::{AnalysisConfig, AnalysisPipeline, SizeofPolicy};
 use dead_data_members::callgraph::Algorithm;
+use dead_data_members::telemetry::Telemetry;
 use std::collections::BTreeSet;
 
 fn dead_set(source: &str, algorithm: Algorithm) -> BTreeSet<String> {
-    let run = AnalysisPipeline::with_config(
+    let run = AnalysisPipeline::with_config_telemetry(
         source,
         AnalysisConfig {
             assume_safe_downcasts: true,
@@ -16,6 +17,8 @@ fn dead_set(source: &str, algorithm: Algorithm) -> BTreeSet<String> {
             ..Default::default()
         },
         algorithm,
+        1,
+        &Telemetry::disabled(),
     )
     .expect("suite analyzes cleanly");
     run.report().dead_member_names().into_iter().collect()
@@ -40,7 +43,6 @@ fn dead_sets_are_monotone_across_the_suite() {
 fn reachability_is_antitone_across_the_suite() {
     use dead_data_members::callgraph::{CallGraph, CallGraphOptions};
     use dead_data_members::hierarchy::{Program, ProgramSummary};
-    use dead_data_members::telemetry::Telemetry;
 
     for b in dead_data_members::benchmarks::suite() {
         let tu = dead_data_members::cppfront::parse(b.source).unwrap();
@@ -78,10 +80,12 @@ fn rta_beats_cha_when_a_subclass_is_never_instantiated() {
         int main() { B b; A* ap = &b; return ap->f(); }
     "#;
     let m3_of = |algorithm| {
-        let run = dead_data_members::analysis::AnalysisPipeline::with_config(
+        let run = dead_data_members::analysis::AnalysisPipeline::with_config_telemetry(
             source,
             Default::default(),
             algorithm,
+            1,
+            &Telemetry::disabled(),
         )
         .unwrap();
         let c = run.program().class_by_name("C").unwrap();

@@ -483,3 +483,88 @@ fn explain_is_identical_across_engines_via_cli() {
         "CLI explain differs from the walk reference"
     );
 }
+
+/// Single-file mode and project mode (`--cache-dir`, cold then warm)
+/// render through the same result type, so every output is the same
+/// bytes: the report, the report with `--layout`, the `--explain` text
+/// of a live and of a dead member, and the unknown-member error.
+#[test]
+fn single_file_and_cache_dir_modes_print_identical_bytes() {
+    let src = write_temp("render_path", SAMPLE);
+    let cases: [&[&str]; 5] = [
+        &[],
+        &["--layout"],
+        &["--explain", "A::live"],
+        &["--explain", "A::dead"],
+        &["--explain", "A::nonexistent"],
+    ];
+    for (i, args) in cases.iter().enumerate() {
+        let cache = std::env::temp_dir().join(format!(
+            "ddm_cli_render_path_{i}_{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&cache);
+        let single = ddm().arg(&src).args(*args).output().expect("run ddm");
+        for pass in ["cold", "warm"] {
+            let cached = ddm()
+                .arg(&src)
+                .args(*args)
+                .arg("--cache-dir")
+                .arg(&cache)
+                .output()
+                .expect("run ddm");
+            assert_eq!(cached.status.code(), single.status.code(), "{args:?} {pass}");
+            assert_eq!(cached.stdout, single.stdout, "{args:?} {pass}: stdout differs");
+            assert_eq!(cached.stderr, single.stderr, "{args:?} {pass}: stderr differs");
+        }
+        let _ = std::fs::remove_dir_all(&cache);
+        if args.contains(&"A::nonexistent") {
+            assert_eq!(single.status.code(), Some(2), "{single:?}");
+            assert_eq!(
+                String::from_utf8_lossy(&single.stderr),
+                "error: class 'A' has no data member 'nonexistent'\n"
+            );
+        } else {
+            assert!(single.status.success(), "{single:?}");
+            assert!(!single.stdout.is_empty(), "{args:?}");
+        }
+    }
+}
+
+/// A program whose deepest chain of active calls (`main` included) is
+/// `calls` long.
+fn recursion(calls: usize) -> String {
+    format!(
+        "int f(int n) {{ if (n == 0) {{ return 0; }} return f(n - 1) + 1; }}\n\
+         int main() {{ print_int(f({})); return 0; }}",
+        calls - 2
+    )
+}
+
+#[test]
+fn run_stops_runaway_recursion_at_the_call_depth_budget() {
+    let budget = dead_data_members::dynamic::MAX_CALL_DEPTH;
+    // Exactly at the budget the run completes.
+    let src = write_temp("depth_at_budget", &recursion(budget));
+    let out = ddm().arg(&src).arg("--run").output().expect("run ddm");
+    assert!(out.status.success(), "{out:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains(&format!("{}\n[exit code 0]", budget - 2)), "{stdout}");
+    // One call past it, and unbounded recursion, are runtime errors.
+    let past = write_temp("depth_past_budget", &recursion(budget + 1));
+    let runaway = write_temp(
+        "depth_runaway",
+        "int f(int n) { return f(n + 1); }\nint main() { return f(0); }",
+    );
+    for src in [past, runaway] {
+        let out = ddm().arg(&src).arg("--run").output().expect("run ddm");
+        assert_eq!(out.status.code(), Some(1), "{out:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!(
+                "runtime error: call depth budget exhausted ({budget} nested calls)"
+            )),
+            "{stderr}"
+        );
+    }
+}

@@ -4,7 +4,7 @@
 //! This validates the paper's core claim that dead members "can be
 //! removed from the application without affecting program behavior".
 
-use dead_data_members::analysis::eliminate;
+use dead_data_members::analysis::eliminate_with;
 use dead_data_members::dynamic::{profile_trace, Interpreter, RunConfig};
 use dead_data_members::prelude::*;
 
@@ -17,7 +17,7 @@ fn eliminating_dead_members_preserves_suite_behaviour() {
             .unwrap_or_else(|e| panic!("{}: {e}", b.name));
         let profile_before = profile_trace(before.program(), &exec_before.trace, before.liveness());
 
-        let result = eliminate(&before);
+        let result = eliminate_with(&before, &Telemetry::disabled());
         let after = AnalysisPipeline::from_source(&result.source)
             .unwrap_or_else(|e| panic!("{}: transformed source rejected: {e}", b.name));
         let exec_after = Interpreter::new(after.program())
@@ -60,9 +60,9 @@ fn elimination_is_idempotent_on_the_suite() {
     // to remove among the previously eliminable members.
     for b in dead_data_members::benchmarks::suite() {
         let first = b.analyze().unwrap();
-        let r1 = eliminate(&first);
+        let r1 = eliminate_with(&first, &Telemetry::disabled());
         let second = AnalysisPipeline::from_source(&r1.source).unwrap();
-        let r2 = eliminate(&second);
+        let r2 = eliminate_with(&second, &Telemetry::disabled());
         for name in &r2.removed {
             assert!(
                 !r1.removed.contains(name),
@@ -83,7 +83,7 @@ fn suite_elimination_removes_most_dead_members() {
     for b in dead_data_members::benchmarks::suite() {
         let run = b.analyze().unwrap();
         let dead = run.report().dead_members_in_used_classes();
-        let removed = eliminate(&run).removed.len();
+        let removed = eliminate_with(&run, &Telemetry::disabled()).removed.len();
         total_dead += dead;
         total_removed += removed;
         assert!(removed <= dead, "{}", b.name);

@@ -61,8 +61,14 @@ fn assert_engines_agree(label: &str, source: &str, config: &AnalysisConfig, algo
             .unwrap_or_else(|e| panic!("{label}: walk reference failed: {e}"));
     let reference_report = reference.report().to_string();
     for jobs in [1, 8] {
-        let run = AnalysisPipeline::with_config_jobs(source, config.clone(), algorithm, jobs)
-            .unwrap_or_else(|e| panic!("{label}: summary jobs={jobs} failed: {e}"));
+        let run = AnalysisPipeline::with_config_telemetry(
+            source,
+            config.clone(),
+            algorithm,
+            jobs,
+            &Telemetry::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{label}: summary jobs={jobs} failed: {e}"));
         assert_eq!(
             reference.liveness(),
             run.liveness(),

@@ -235,11 +235,12 @@ fn tu_summary_size_histogram_is_cache_invariant() {
 #[test]
 fn recording_changes_no_output_and_no_counters() {
     for (name, source) in bundled_programs() {
-        let plain = AnalysisPipeline::with_config_jobs(
+        let plain = AnalysisPipeline::with_config_telemetry(
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
+            &Telemetry::disabled(),
         )
         .expect("pipeline");
         let baseline = Telemetry::enabled();

@@ -3,6 +3,7 @@
 
 use dead_data_members::analysis::{AnalysisConfig, AnalysisPipeline, SizeofPolicy};
 use dead_data_members::callgraph::Algorithm;
+use dead_data_members::telemetry::Telemetry;
 
 fn dead(src: &str) -> Vec<String> {
     AnalysisPipeline::from_source(src)
@@ -12,7 +13,7 @@ fn dead(src: &str) -> Vec<String> {
 }
 
 fn dead_with(src: &str, config: AnalysisConfig) -> Vec<String> {
-    AnalysisPipeline::with_config(src, config, Algorithm::Rta)
+    AnalysisPipeline::with_config_telemetry(src, config, Algorithm::Rta, 1, &Telemetry::disabled())
         .expect("pipeline")
         .report()
         .dead_member_names()

@@ -47,14 +47,24 @@ fn suite_config() -> AnalysisConfig {
 #[test]
 fn parallel_liveness_and_report_are_bit_identical_for_all_programs() {
     for (name, source) in bundled_programs() {
-        let sequential =
-            AnalysisPipeline::with_config_jobs(&source, suite_config(), Algorithm::Rta, 1)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let sequential = AnalysisPipeline::with_config_telemetry(
+            &source,
+            suite_config(),
+            Algorithm::Rta,
+            1,
+            &Telemetry::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         let report_1 = sequential.report().to_string();
         for jobs in [2usize, 8] {
-            let parallel =
-                AnalysisPipeline::with_config_jobs(&source, suite_config(), Algorithm::Rta, jobs)
-                    .unwrap_or_else(|e| panic!("{name} jobs={jobs}: {e}"));
+            let parallel = AnalysisPipeline::with_config_telemetry(
+                &source,
+                suite_config(),
+                Algorithm::Rta,
+                jobs,
+                &Telemetry::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{name} jobs={jobs}: {e}"));
             assert_eq!(
                 sequential.liveness(),
                 parallel.liveness(),
@@ -80,12 +90,22 @@ fn parallel_determinism_holds_for_every_callgraph_algorithm() {
         Algorithm::Pta,
     ] {
         for (name, source) in bundled_programs() {
-            let sequential =
-                AnalysisPipeline::with_config_jobs(&source, suite_config(), algorithm, 1)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let parallel =
-                AnalysisPipeline::with_config_jobs(&source, suite_config(), algorithm, 8)
-                    .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let sequential = AnalysisPipeline::with_config_telemetry(
+                &source,
+                suite_config(),
+                algorithm,
+                1,
+                &Telemetry::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let parallel = AnalysisPipeline::with_config_telemetry(
+                &source,
+                suite_config(),
+                algorithm,
+                8,
+                &Telemetry::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
             assert_eq!(
                 sequential.liveness(),
                 parallel.liveness(),
@@ -102,10 +122,16 @@ fn repeated_parallel_runs_are_self_consistent() {
     let (name, source) = &bundled_programs()[0];
     let runs: Vec<String> = (0..3)
         .map(|_| {
-            AnalysisPipeline::with_config_jobs(source, suite_config(), Algorithm::Rta, 8)
-                .unwrap_or_else(|e| panic!("{name}: {e}"))
-                .report()
-                .to_string()
+            AnalysisPipeline::with_config_telemetry(
+                source,
+                suite_config(),
+                Algorithm::Rta,
+                8,
+                &Telemetry::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .report()
+            .to_string()
         })
         .collect();
     assert_eq!(runs[0], runs[1]);
@@ -130,8 +156,14 @@ fn batch_suite_is_invariant_in_its_worker_count() {
     // And the batch answers agree with individually constructed runs.
     for (name, report) in &one {
         let source = &inputs.iter().find(|(n, _)| n == name).unwrap().1;
-        let solo = AnalysisPipeline::with_config(source, suite_config(), Algorithm::Rta)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let solo = AnalysisPipeline::with_config_telemetry(
+            source,
+            suite_config(),
+            Algorithm::Rta,
+            1,
+            &Telemetry::disabled(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(&solo.report().to_string(), report, "{name}");
     }
 }

@@ -14,9 +14,14 @@ use dead_data_members::analysis::LiveReason;
 use dead_data_members::prelude::*;
 
 fn liveness(source: &str, jobs: usize) -> (Program, Liveness) {
-    let run =
-        AnalysisPipeline::with_config_jobs(source, AnalysisConfig::default(), Algorithm::Rta, jobs)
-            .expect("pipeline");
+    let run = AnalysisPipeline::with_config_telemetry(
+        source,
+        AnalysisConfig::default(),
+        Algorithm::Rta,
+        jobs,
+        &Telemetry::disabled(),
+    )
+    .expect("pipeline");
     let liveness = run.liveness().clone();
     let tu = parse(source).expect("parse");
     (Program::build(&tu).expect("sema"), liveness)

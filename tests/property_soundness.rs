@@ -70,8 +70,14 @@ fn pta_refinement_is_also_sound() {
     // never prune one the interpreter actually reaches.
     for (config, seed) in cases(48, 0x97A) {
         let src = generate(&config, seed);
-        let run = AnalysisPipeline::with_config(&src, Default::default(), Algorithm::Pta)
-            .expect("pipeline");
+        let run = AnalysisPipeline::with_config_telemetry(
+            &src,
+            Default::default(),
+            Algorithm::Pta,
+            1,
+            &Telemetry::disabled(),
+        )
+        .expect("pipeline");
         let exec = Interpreter::new(run.program())
             .run(&RunConfig::default())
             .expect("run");
@@ -92,9 +98,14 @@ fn parallel_analysis_matches_sequential_on_generated_programs() {
         let src = generate(&config, seed);
         let sequential = AnalysisPipeline::from_source(&src).expect("pipeline");
         for jobs in [2, 3, 8] {
-            let parallel =
-                AnalysisPipeline::with_config_jobs(&src, Default::default(), Algorithm::Rta, jobs)
-                    .expect("parallel pipeline");
+            let parallel = AnalysisPipeline::with_config_telemetry(
+                &src,
+                Default::default(),
+                Algorithm::Rta,
+                jobs,
+                &Telemetry::disabled(),
+            )
+            .expect("parallel pipeline");
             assert_eq!(
                 sequential.liveness(),
                 parallel.liveness(),
@@ -161,8 +172,14 @@ fn liveness_is_monotone_in_callgraph_precision() {
     for (config, seed) in cases(48, 0x3CA) {
         let src = generate(&config, seed);
         let dead = |alg| {
-            let run =
-                AnalysisPipeline::with_config(&src, Default::default(), alg).expect("pipeline");
+            let run = AnalysisPipeline::with_config_telemetry(
+                &src,
+                Default::default(),
+                alg,
+                1,
+                &Telemetry::disabled(),
+            )
+            .expect("pipeline");
             run.report().dead_member_names().len()
         };
         let everything = dead(Algorithm::Everything);

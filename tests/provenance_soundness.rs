@@ -29,28 +29,16 @@ fn bundled_programs() -> Vec<(String, String)> {
 /// sequential walk reference.
 enum Run {
     Summary(AnalysisPipeline),
-    Walk(ddm_bench::reference::Reference),
+    Walk(EpochSnapshot),
 }
 
-impl Run {
-    fn program(&self) -> &Program {
-        match self {
-            Run::Summary(p) => p.program(),
-            Run::Walk(r) => r.program(),
-        }
-    }
+impl std::ops::Deref for Run {
+    type Target = EpochSnapshot;
 
-    fn callgraph(&self) -> &CallGraph {
+    fn deref(&self) -> &EpochSnapshot {
         match self {
-            Run::Summary(p) => p.callgraph(),
-            Run::Walk(r) => r.callgraph(),
-        }
-    }
-
-    fn liveness(&self) -> &Liveness {
-        match self {
-            Run::Summary(p) => p.liveness(),
-            Run::Walk(r) => r.liveness(),
+            Run::Summary(p) => p,
+            Run::Walk(r) => r,
         }
     }
 }
@@ -73,7 +61,14 @@ fn runs(source: &str) -> [Run; 2] {
                 .expect("walk reference"),
         ),
         Run::Summary(
-            AnalysisPipeline::with_config(source, config, Algorithm::Rta).expect("pipeline"),
+            AnalysisPipeline::with_config_telemetry(
+                source,
+                config,
+                Algorithm::Rta,
+                1,
+                &Telemetry::disabled(),
+            )
+            .expect("pipeline"),
         ),
     ]
 }

@@ -45,7 +45,7 @@ fn run_counters(source: &str, jobs: usize) -> Counters {
 
 /// The sequential walk reference over `source`, its counters recorded
 /// on `telemetry`.
-fn walk_reference(source: &str, telemetry: &Telemetry) -> ddm_bench::reference::Reference {
+fn walk_reference(source: &str, telemetry: &Telemetry) -> EpochSnapshot {
     ddm_bench::reference::analyze(source, &AnalysisConfig::default(), Algorithm::Rta, telemetry)
         .expect("walk reference")
 }
@@ -69,11 +69,12 @@ fn counters_identical_across_jobs_and_engines() {
 #[test]
 fn enabling_telemetry_changes_no_analysis_output() {
     for (name, source) in bundled_programs() {
-        let plain = AnalysisPipeline::with_config_jobs(
+        let plain = AnalysisPipeline::with_config_telemetry(
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
             2,
+            &Telemetry::disabled(),
         )
         .expect("pipeline");
         let telemetry = Telemetry::enabled();
@@ -102,10 +103,12 @@ fn enabling_telemetry_changes_no_analysis_output() {
 fn explain_is_byte_identical_across_engines() {
     for (name, source) in bundled_programs() {
         let walk = walk_reference(&source, &Telemetry::disabled());
-        let summary = AnalysisPipeline::with_config(
+        let summary = AnalysisPipeline::with_config_telemetry(
             &source,
             AnalysisConfig::default(),
             Algorithm::Rta,
+            1,
+            &Telemetry::disabled(),
         )
         .expect("summary pipeline");
         for (_, class) in walk.program().classes() {

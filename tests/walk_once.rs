@@ -43,8 +43,14 @@ fn suite_config() -> AnalysisConfig {
 /// Runs one pipeline and returns how many body walks it performed.
 fn walks_for(source: &str, jobs: usize) -> u64 {
     let before = body_walk_count();
-    AnalysisPipeline::with_config_jobs(source, suite_config(), Algorithm::Rta, jobs)
-        .expect("pipeline");
+    AnalysisPipeline::with_config_telemetry(
+        source,
+        suite_config(),
+        Algorithm::Rta,
+        jobs,
+        &Telemetry::disabled(),
+    )
+    .expect("pipeline");
     body_walk_count() - before
 }
 

@@ -513,9 +513,14 @@ fn reports_and_explanations_are_byte_identical_across_engines_and_jobs() {
             .collect();
 
         for jobs in [1, 2, 8] {
-            let run =
-                AnalysisPipeline::with_config_jobs(&source, config.clone(), Algorithm::Rta, jobs)
-                    .unwrap_or_else(|e| panic!("{name}: jobs={jobs}: {e}"));
+            let run = AnalysisPipeline::with_config_telemetry(
+                &source,
+                config.clone(),
+                Algorithm::Rta,
+                jobs,
+                &Telemetry::disabled(),
+            )
+            .unwrap_or_else(|e| panic!("{name}: jobs={jobs}: {e}"));
             assert_eq!(
                 reference.callgraph(),
                 run.callgraph(),
