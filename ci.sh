@@ -130,8 +130,30 @@ inv=$(grep '"event":"fixpoint_invalidate"' /tmp/ddm_ci_incr.ndjson)
 frontier=$(printf '%s' "$inv" | sed -n 's/.*"frontier_fns":\([0-9]*\).*/\1/p')
 total=$(printf '%s' "$inv" | sed -n 's/.*"total_fns":\([0-9]*\).*/\1/p')
 test -n "$frontier" && test -n "$total" && test "$frontier" -lt "$total"
+# Damage path: flip one byte in the entry of a TU the warm run took
+# from the snapshot and delete the snapshot, so the entry is read. The
+# checksum must reject it as corrupt and the recomputed report must
+# still match the cold run.
+hit_hash=$(sed -n 's/.*"event":"tu_cache_hit".*"hash":"\([0-9a-f]*\)".*/\1/p' \
+    /tmp/ddm_ci_incr.ndjson | head -1)
+damaged_entry="/tmp/ddm_ci_incr/tu-$hit_hash.mod"
+test -f "$damaged_entry"
+python3 -c 'import sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[len(data) // 2] ^= 0x20
+open(path, "wb").write(data)' "$damaged_entry"
+rm /tmp/ddm_ci_incr/analysis.snap
+cargo run --release --bin ddm -- /tmp/ddm_ci_incr_src/*.cpp \
+    --cache-dir /tmp/ddm_ci_incr \
+    --log-out /tmp/ddm_ci_incr_damaged.ndjson \
+    > /tmp/ddm_ci_incr_damaged.out
+cmp /tmp/ddm_ci_incr_cold.out /tmp/ddm_ci_incr_damaged.out
+grep '"event":"tu_cache_invalidated"' /tmp/ddm_ci_incr_damaged.ndjson \
+    | grep -q '"reason":"corrupt"'
 rm -rf /tmp/ddm_ci_incr /tmp/ddm_ci_incr_src /tmp/ddm_ci_incr_cold.out \
-    /tmp/ddm_ci_incr_warm.out /tmp/ddm_ci_incr.ndjson
+    /tmp/ddm_ci_incr_warm.out /tmp/ddm_ci_incr.ndjson \
+    /tmp/ddm_ci_incr_damaged.out /tmp/ddm_ci_incr_damaged.ndjson
 
 echo "== differential fuzz: capped sweep + shrinker =="
 cargo test --release --test differential_fuzz

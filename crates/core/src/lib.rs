@@ -24,6 +24,7 @@
 
 pub mod analysis;
 pub mod eliminate;
+mod envelope;
 pub mod epoch;
 pub mod explain;
 pub mod liveness;
@@ -39,7 +40,9 @@ pub use epoch::{EpochCell, EpochSnapshot};
 pub use explain::{explain, witness_path, ExplainError};
 pub use liveness::{LiveReason, Liveness, LivenessParts, Origin};
 pub use pipeline::{AnalysisPipeline, Engine, PipelineError};
-pub use project::{config_fingerprint, ProjectError, ProjectPipeline};
+pub use project::{
+    config_fingerprint, decode_tu_entry, encode_tu_entry, ProjectError, ProjectPipeline,
+};
 pub use report::{render_analysis, ClassReport, Report};
 pub use serve::{serve, ServeOptions};
 pub use snapshot::{

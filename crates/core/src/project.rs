@@ -9,22 +9,27 @@
 //! the single-TU [`AnalysisPipeline`](crate::AnalysisPipeline)'s.
 //!
 //! With a cache directory, per-TU modules persist across runs keyed by
-//! the FNV-1a content hash of the TU source (plus a format version and
-//! a configuration fingerprint in the envelope). A warm run re-parses
-//! and re-summarizes only the TUs whose content changed and produces
-//! byte-identical reports, `--explain` output, and deterministic
-//! counters versus a cold cacheless run: the linked model is always
-//! assembled from module records, so a summary resolved from cache
-//! cannot drift from one extracted fresh.
+//! the FNV-1a content hash of the TU source. Each entry,
+//! `tu-<hash>.mod`, is a binmod-encoded [`TuModule`] sealed in the
+//! checksummed envelope the analysis snapshot also uses, behind a
+//! configuration fingerprint and the source hash (see
+//! [`encode_tu_entry`]). A warm run re-parses and re-summarizes only the
+//! TUs whose content changed and produces byte-identical reports,
+//! `--explain` output, and deterministic counters versus a cold
+//! cacheless run: the linked model is always assembled from module
+//! records, so a summary resolved from cache cannot drift from one
+//! extracted fresh.
 //!
 //! Entries are published atomically (write to a process-unique temp
 //! file, then rename), so concurrent writers sharing one cache
 //! directory and processes killed mid-write can never leave a torn
-//! `tu-<hash>.json` behind; dangling temps are swept the next time the
-//! directory is opened. The `DDM_CACHE_FAULT` environment variable
-//! injects crashes into the write path for the torture tests.
+//! entry behind; dangling temps, and the `tu-<hash>.json` entries of
+//! older versions, are swept the next time the directory is opened. The
+//! `DDM_CACHE_FAULT` environment variable injects crashes into the write
+//! path for the torture tests.
 
 use crate::analysis::{replay_liveness_telemetry, AnalysisConfig};
+use crate::envelope::{publish, seal, unseal, CacheFile, EnvelopeError};
 use crate::epoch::EpochSnapshot;
 use crate::liveness::Liveness;
 use crate::pipeline::{solve, Engine, PipelineError, Solved};
@@ -32,14 +37,15 @@ use crate::snapshot::{snapshot_fingerprint, AnalysisSnapshot, SNAPSHOT_FILE};
 use ddm_callgraph::{replay_schedule, Algorithm, CallGraph};
 use ddm_cppfront::{parse, SourceMap};
 use ddm_hierarchy::{
-    analysis_thread, body_walk_count, fnv1a64, hash_hex, link_delta_ref, link_with, FuncId,
-    LinkDelta, LinkError, Program, ProgramSummary, TuModule, TypeError,
+    analysis_thread, body_walk_count, decode_module, encode_module, fnv1a64, hash_hex,
+    link_delta_ref, link_with, ByteReader, ByteWriter, FuncId, LinkDelta, LinkError, Program,
+    ProgramSummary, TuModule, TypeError, BINMOD_FORMAT_VERSION,
 };
 use ddm_telemetry::{EventClass, Telemetry, LANE_MAIN};
 use std::error::Error;
 use std::fmt;
 use std::ops::Deref;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -92,95 +98,87 @@ impl Deref for ProjectPipeline {
     }
 }
 
-/// The configuration fingerprint stored in every cache envelope. Only
+/// The configuration fingerprint stored in every cache entry. Only
 /// configuration that changes what a *per-TU summary* contains belongs
 /// here (today: whether §3.1 points-to refinement ran, which is implied
 /// by the call-graph algorithm). Options that act at link time or later
 /// — `sizeof` policy, down-cast policy, library classes — deliberately
-/// do not invalidate cached modules.
+/// do not invalidate cached modules. The `v2` prefix marks the binary
+/// entry format; it also feeds [`snapshot_fingerprint`], so a snapshot
+/// whose `summary_bytes` measured JSON entries is rejected.
 pub fn config_fingerprint(algorithm: Algorithm) -> String {
-    format!("v1;refine={}", u8::from(algorithm == Algorithm::Pta))
+    format!("v2;refine={}", u8::from(algorithm == Algorithm::Pta))
 }
 
-/// The cache file for a TU with the given source hash.
-fn cache_path(dir: &Path, source_hash: u64) -> PathBuf {
-    dir.join(format!("tu-{}.json", hash_hex(source_hash)))
+/// The 8-byte magic at the start of every summary entry.
+const ENTRY_MAGIC: &[u8; 8] = b"DDMTUMOD";
+
+/// Version of the summary entry format. The payload after the fixed
+/// fingerprint and source-hash fields is one binmod module, so the
+/// entry version is the binmod version: a codec change turns every
+/// existing entry into version skew.
+const ENTRY_FORMAT_VERSION: u32 = BINMOD_FORMAT_VERSION;
+
+/// The cache entry file name for a TU with the given source hash.
+fn entry_name(source_hash: u64) -> String {
+    format!("tu-{}.mod", hash_hex(source_hash))
 }
 
-/// Crash-injection points inside the cache write path, enabled by the
-/// `DDM_CACHE_FAULT` environment variable. Torture tests use these to
-/// prove a process dying mid-publish can never leave a torn
-/// `tu-<hash>.json` behind: the next run must recompute and produce
-/// byte-identical output with zero invalidations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CacheFault {
-    /// Abort after writing half of the first entry's bytes to its temp
-    /// file (a torn temp, never a torn final).
-    KillMidWrite,
-    /// Abort after fully writing the first entry's temp file but before
-    /// renaming it over the final name (a complete but unpublished temp).
-    KillPreRename,
+/// Encodes `module` as a summary cache entry: the sealed payload is the
+/// configuration fingerprint, the module's source hash, then the
+/// [`encode_module`] image. Deterministic, like the snapshot.
+pub fn encode_tu_entry(module: &TuModule, fingerprint: &str) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_str(fingerprint);
+    w.put_u64(module.source_hash);
+    encode_module(module, &mut w);
+    seal(ENTRY_MAGIC, ENTRY_FORMAT_VERSION, w.bytes())
 }
 
-/// The fault selected by `DDM_CACHE_FAULT`, read once per process.
-/// Unset or unrecognized values disable injection.
-fn cache_fault() -> Option<CacheFault> {
-    static FAULT: std::sync::OnceLock<Option<CacheFault>> = std::sync::OnceLock::new();
-    *FAULT.get_or_init(|| match std::env::var("DDM_CACHE_FAULT").as_deref() {
-        Ok("kill-mid-write") => Some(CacheFault::KillMidWrite),
-        Ok("kill-pre-rename") => Some(CacheFault::KillPreRename),
-        _ => None,
-    })
-}
-
-/// Atomically publishes one cache entry: the document is written to a
-/// process-unique temp file inside `dir`, then renamed over the final
-/// `tu-<hash>.json`. Readers therefore observe either no entry or a
-/// complete one — a crash between the write and the rename leaves only
-/// a dangling temp, which [`sweep_dangling_temps`] removes on the next
-/// open. Best-effort like all cache I/O: any failure simply means the
-/// entry is recomputed next time.
-fn publish_entry(dir: &Path, source_hash: u64, doc: &str) {
-    let tmp = dir.join(format!(
-        "tu-{}.json.tmp.{}",
-        hash_hex(source_hash),
-        std::process::id()
-    ));
-    let written = (|| -> std::io::Result<()> {
-        use std::io::Write as _;
-        let mut f = std::fs::File::create(&tmp)?;
-        if cache_fault() == Some(CacheFault::KillMidWrite) {
-            f.write_all(&doc.as_bytes()[..doc.len() / 2])?;
-            let _ = f.sync_all();
-            std::process::abort();
-        }
-        f.write_all(doc.as_bytes())?;
-        Ok(())
-    })();
-    match written {
-        Ok(()) => {
-            if cache_fault() == Some(CacheFault::KillPreRename) {
-                std::process::abort();
-            }
-            let _ = std::fs::rename(&tmp, cache_path(dir, source_hash));
-        }
-        Err(_) => {
-            let _ = std::fs::remove_file(&tmp);
-        }
+/// Decodes a summary cache entry for the TU whose content hashes to
+/// `source_hash`, written under `fingerprint`.
+///
+/// # Errors
+///
+/// The cache invalidation reason the flight recorder reports:
+/// `version_skew`, `config_fingerprint`, `source_hash`, or `corrupt` for
+/// everything else — truncation, a checksum mismatch, a structural
+/// decode failure, or a module that fails [`TuModule::validate`].
+pub fn decode_tu_entry(
+    bytes: &[u8],
+    fingerprint: &str,
+    source_hash: u64,
+) -> Result<TuModule, &'static str> {
+    const CORRUPT: &str = "corrupt";
+    let payload = unseal(bytes, ENTRY_MAGIC, ENTRY_FORMAT_VERSION).map_err(|e| match e {
+        EnvelopeError::VersionSkew => "version_skew",
+        _ => CORRUPT,
+    })?;
+    let mut r = ByteReader::new(payload);
+    if r.get_str().map_err(|_| CORRUPT)? != fingerprint {
+        return Err("config_fingerprint");
     }
+    if r.get_u64().map_err(|_| CORRUPT)? != source_hash {
+        return Err("source_hash");
+    }
+    let module = decode_module(&mut r).map_err(|_| CORRUPT)?;
+    if !r.is_at_end() || module.source_hash != source_hash || module.validate().is_err() {
+        return Err(CORRUPT);
+    }
+    Ok(module)
 }
 
-/// Minimum age (by mtime) before [`sweep_dangling_temps`] removes a
-/// dangling temp. A temp younger than this may belong to a live sibling
-/// writer mid-publish — deleting it would kill that writer's rename and
-/// force a recompute, which a daemon re-probing every epoch would do
-/// constantly. A crashed writer's temp ages past the gate and is
-/// collected on a later open; until then it is harmless garbage.
+/// Minimum age (by mtime) before [`sweep_cache_dir`] removes a dangling
+/// temp. A temp younger than this may belong to a live sibling writer
+/// mid-publish — deleting it would kill that writer's rename and force a
+/// recompute, which a daemon re-probing every epoch would do constantly.
+/// A crashed writer's temp ages past the gate and is collected on a
+/// later open; until then it is harmless garbage.
 const TEMP_SWEEP_MIN_AGE: std::time::Duration = std::time::Duration::from_secs(60);
 
 /// Whether a dangling temp is old enough to sweep. Falls back to
-/// sweeping (the historical behavior) when the filesystem reports no
-/// mtime; a temp whose mtime sits in the future is treated as fresh.
+/// sweeping when the filesystem reports no mtime; a temp whose mtime
+/// sits in the future is treated as fresh.
 fn temp_old_enough(entry: &std::fs::DirEntry) -> bool {
     let Ok(modified) = entry.metadata().and_then(|m| m.modified()) else {
         return true;
@@ -191,13 +189,14 @@ fn temp_old_enough(entry: &std::fs::DirEntry) -> bool {
     }
 }
 
-/// Removes dangling `tu-*.json.tmp.*` and `analysis.snap.tmp.*` files
-/// left by a crashed writer. Runs when a cache directory is opened for
-/// probing. Only temps older than [`TEMP_SWEEP_MIN_AGE`] are removed,
-/// so a live concurrent writer's in-flight temp survives the probe and
-/// its rename still publishes; fresh temps are skipped silently and
-/// collected by a later open once they age past the gate.
-fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
+/// Runs when a cache directory is opened for probing. Removes dangling
+/// `tu-*.tmp.*` and `analysis.snap.tmp.*` files left by a crashed
+/// writer, but only those older than [`TEMP_SWEEP_MIN_AGE`], so a live
+/// concurrent writer's in-flight temp survives the probe and its rename
+/// still publishes. Also removes every legacy `tu-*.json` summary
+/// entry: no writer of this format produces them and no reader reads
+/// them.
+fn sweep_cache_dir(dir: &Path, telemetry: &Telemetry) {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return;
     };
@@ -205,28 +204,21 @@ fn sweep_dangling_temps(dir: &Path, telemetry: &Telemetry) {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let name = name.to_string_lossy();
-        if (name.starts_with("tu-") && name.contains(".json.tmp")) || name.starts_with(&snap_tmp) {
+        let summary = name.starts_with("tu-");
+        let (event, key) = if (summary && name.contains(".tmp.")) || name.starts_with(&snap_tmp) {
             if !temp_old_enough(&entry) {
                 continue;
             }
-            let _ = std::fs::remove_file(entry.path());
-            telemetry.event(EventClass::Observational, "cache_temp_swept", || {
-                vec![("temp", name.as_ref().into())]
-            });
-        }
-    }
-}
-
-/// Classifies a [`TuModule::from_json`] rejection into the cache
-/// invalidation reasons the flight recorder reports. Anything that is
-/// not one of the three envelope mismatches is a corrupt or truncated
-/// document (including torn writes and dangling-reference records).
-fn invalidation_reason(err: &str) -> &'static str {
-    match err {
-        "format version mismatch" => "version_skew",
-        "configuration fingerprint mismatch" => "config_fingerprint",
-        "source hash mismatch" => "source_hash",
-        _ => "corrupt",
+            ("cache_temp_swept", "temp")
+        } else if summary && name.ends_with(".json") {
+            ("cache_legacy_swept", "file")
+        } else {
+            continue;
+        };
+        let _ = std::fs::remove_file(entry.path());
+        telemetry.event(EventClass::Observational, event, || {
+            vec![(key, name.as_ref().into())]
+        });
     }
 }
 
@@ -338,10 +330,10 @@ impl ProjectPipeline {
         let refine = algorithm == Algorithm::Pta;
 
         // --- Cache probe: content-hash every input, load what we can.
-        // A valid analysis snapshot short-circuits the per-TU JSON probe
-        // for every unchanged TU (its module decodes straight from the
-        // snapshot); changed TUs still go through the JSON probe, so the
-        // summary cache keeps its hit/miss/invalidation semantics. ---
+        // A valid analysis snapshot serves every unchanged TU's module
+        // straight from memory; only changed TUs read their summary
+        // entry, so the summary cache keeps its hit/miss/invalidation
+        // semantics. ---
         let frontend_start = Instant::now();
         let snap_fingerprint = snapshot_fingerprint(&config, algorithm);
         let mut hits = 0u64;
@@ -351,24 +343,35 @@ impl ProjectPipeline {
             .map(|(_, source)| fnv1a64(source.as_bytes()))
             .collect();
         let mut snapshot: Option<AnalysisSnapshot> = None;
-        // Rendered summary-entry size per TU, filled by whichever path
-        // first learns it (snapshot, cache entry on disk, or the
-        // write-back render). `None` means nobody rendered it yet; the
-        // metrics histogram renders on demand for those.
+        // Summary entry size per TU, filled by whichever path first
+        // learns it (snapshot, cache entry on disk, or the write-back
+        // encode). `None` means nobody encoded it yet; the metrics
+        // histogram encodes on demand for those.
         let mut byte_lens: Vec<Option<u64>> = vec![None; inputs.len()];
         // The snapshot's stored modules, moved (not cloned) out of the
         // envelope: unchanged TUs take theirs during the probe, leaving
         // `Some` behind exactly at changed positions — the previous-side
         // modules the summary diff needs.
         let mut snap_modules: Vec<Option<TuModule>> = Vec::new();
-        let mut modules: Vec<Option<TuModule>> = {
-            let _probe = telemetry.span(LANE_MAIN, || {
-                format!("cache probe ({} TUs)", inputs.len())
+        let mut modules: Vec<Option<TuModule>> = inputs.iter().map(|_| None).collect();
+        // Cache outcomes differ cold vs warm by definition, so every
+        // probe and snapshot event is obs class (the det stream must be
+        // identical across cache states).
+        let hit = |i: usize, bytes: u64| {
+            telemetry.event(EventClass::Observational, "tu_cache_hit", || {
+                vec![
+                    ("file", inputs[i].0.as_str().into()),
+                    ("hash", hash_hex(hashes[i]).into()),
+                    ("bytes", bytes.into()),
+                ]
             });
+        };
+        {
+            let _probe =
+                telemetry.span(LANE_MAIN, || format!("cache probe ({} TUs)", inputs.len()));
             if let Some(dir) = cache {
-                sweep_dangling_temps(dir, telemetry);
-                // Snapshot outcomes differ cold vs warm, so every
-                // snapshot event is obs class, like the probe events.
+                sweep_cache_dir(dir, telemetry);
+                let load_span = telemetry.span(LANE_MAIN, || "snapshot load".to_string());
                 match AnalysisSnapshot::load(dir, &snap_fingerprint) {
                     Ok(snap) if snap.source_hashes.len() == inputs.len() => {
                         telemetry.event(EventClass::Observational, "snapshot_loaded", || {
@@ -379,8 +382,10 @@ impl ProjectPipeline {
                         });
                         snapshot = Some(snap);
                         let snap = snapshot.as_mut().expect("just set");
-                        snap_modules =
-                            std::mem::take(&mut snap.modules).into_iter().map(Some).collect();
+                        snap_modules = std::mem::take(&mut snap.modules)
+                            .into_iter()
+                            .map(Some)
+                            .collect();
                     }
                     Ok(_) => {
                         telemetry.event(EventClass::Observational, "snapshot_rejected", || {
@@ -391,75 +396,63 @@ impl ProjectPipeline {
                         // A plainly absent snapshot is the ordinary cold
                         // case, not worth an event.
                         if reason != "missing" {
-                            telemetry.event(
-                                EventClass::Observational,
-                                "snapshot_rejected",
-                                || vec![("reason", reason.as_str().into())],
-                            );
+                            telemetry.event(EventClass::Observational, "snapshot_rejected", || {
+                                vec![("reason", reason.as_str().into())]
+                            });
                         }
                     }
                 }
-            }
-            inputs
-                .iter()
-                .zip(&hashes)
-                .enumerate()
-                .map(|(i, ((file, _), &hash))| {
-                    let dir = cache?;
-                    if let Some(snap) = &snapshot {
-                        if snap.source_hashes[i] == hash {
-                            // Unchanged since the snapshot: its module is
-                            // already in memory and is moved out, not
-                            // cloned. Keyed by content, so a renamed file
-                            // still hits. The entry size was recorded
-                            // when the snapshot was written, so the hit
-                            // costs no JSON render.
-                            let mut module =
-                                snap_modules[i].take().expect("snapshot module taken once");
-                            module.file = file.clone();
-                            let bytes = snap.summary_bytes[i];
-                            byte_lens[i] = Some(bytes);
-                            telemetry.event(EventClass::Observational, "tu_cache_hit", || {
-                                vec![
-                                    ("file", file.as_str().into()),
-                                    ("hash", hash_hex(hash).into()),
-                                    ("bytes", bytes.into()),
-                                ]
-                            });
-                            hits += 1;
-                            return Some(module);
+                if let Some(snap) = &snapshot {
+                    for (i, &hash) in hashes.iter().enumerate() {
+                        if snap.source_hashes[i] != hash {
+                            continue;
                         }
+                        // Unchanged since the snapshot: its module is
+                        // already in memory and is moved out, not
+                        // cloned. Keyed by content, so a renamed file
+                        // still hits. The entry size was recorded when
+                        // the snapshot was written, so the hit costs no
+                        // encode.
+                        let mut module =
+                            snap_modules[i].take().expect("snapshot module taken once");
+                        module.file = inputs[i].0.clone();
+                        modules[i] = Some(module);
+                        byte_lens[i] = Some(snap.summary_bytes[i]);
+                        hit(i, snap.summary_bytes[i]);
+                        hits += 1;
                     }
-                    let doc = match std::fs::read_to_string(cache_path(dir, hash)) {
-                        Ok(doc) => doc,
-                        Err(_) => {
-                            // Cache outcomes differ cold vs warm by
-                            // definition, so every probe event is obs
-                            // class (the det stream must be identical
-                            // across cache states).
-                            telemetry.event(EventClass::Observational, "tu_cache_miss", || {
-                                vec![("file", file.as_str().into()), ("hash", hash_hex(hash).into())]
-                            });
-                            return None;
-                        }
+                }
+                drop(load_span);
+
+                let mut entry_span = telemetry.span(LANE_MAIN, String::new);
+                let (mut read, mut read_bytes) = (0u64, 0u64);
+                for (i, (file, _)) in inputs.iter().enumerate() {
+                    if modules[i].is_some() {
+                        continue;
+                    }
+                    let hash = hashes[i];
+                    let Ok(bytes) = std::fs::read(dir.join(entry_name(hash))) else {
+                        telemetry.event(EventClass::Observational, "tu_cache_miss", || {
+                            vec![
+                                ("file", file.as_str().into()),
+                                ("hash", hash_hex(hash).into()),
+                            ]
+                        });
+                        continue;
                     };
-                    match TuModule::from_json(&doc, &fingerprint, hash) {
+                    read += 1;
+                    read_bytes += bytes.len() as u64;
+                    match decode_tu_entry(&bytes, &fingerprint, hash) {
                         Ok(mut module) => {
                             // Entries are keyed by content, not by path:
                             // the same bytes under a new name hit.
                             module.file = file.clone();
+                            modules[i] = Some(module);
+                            byte_lens[i] = Some(bytes.len() as u64);
+                            hit(i, bytes.len() as u64);
                             hits += 1;
-                            byte_lens[i] = Some(doc.len() as u64);
-                            telemetry.event(EventClass::Observational, "tu_cache_hit", || {
-                                vec![
-                                    ("file", file.as_str().into()),
-                                    ("hash", hash_hex(hash).into()),
-                                    ("bytes", doc.len().into()),
-                                ]
-                            });
-                            Some(module)
                         }
-                        Err(err) => {
+                        Err(reason) => {
                             invalidations += 1;
                             telemetry.event(
                                 EventClass::Observational,
@@ -468,16 +461,17 @@ impl ProjectPipeline {
                                     vec![
                                         ("file", file.as_str().into()),
                                         ("hash", hash_hex(hash).into()),
-                                        ("reason", invalidation_reason(&err).into()),
+                                        ("reason", reason.into()),
                                     ]
                                 },
                             );
-                            None
                         }
                     }
-                })
-                .collect()
-        };
+                }
+                entry_span
+                    .rename(|| format!("entry read+decode ({read} entries, {read_bytes} bytes)"));
+            }
+        }
         let misses = inputs.len() as u64 - hits;
         if cache.is_some() {
             telemetry.event(EventClass::Observational, "cache_probe_done", || {
@@ -569,35 +563,37 @@ impl ProjectPipeline {
 
         // --- Write back the freshly computed modules (best-effort). ---
         if let Some(dir) = cache {
-            let _write = telemetry.span(LANE_MAIN, || {
-                format!("cache write ({} entries)", todo.len())
-            });
+            let mut write_span = telemetry.span(LANE_MAIN, String::new);
             let _ = std::fs::create_dir_all(dir);
+            let mut written = 0u64;
             for &i in &todo {
-                let doc = modules[i].to_json(&fingerprint);
-                byte_lens[i] = Some(doc.len() as u64);
-                publish_entry(dir, hashes[i], &doc);
+                let entry = encode_tu_entry(&modules[i], &fingerprint);
+                let bytes = entry.len() as u64;
+                byte_lens[i] = Some(bytes);
+                written += bytes;
+                publish(dir, &entry_name(hashes[i]), &entry, CacheFile::Entry);
                 telemetry.event(EventClass::Observational, "tu_cache_publish", || {
                     vec![
                         ("file", inputs[i].0.as_str().into()),
                         ("hash", hash_hex(hashes[i]).into()),
-                        ("bytes", doc.len().into()),
+                        ("bytes", bytes.into()),
                     ]
                 });
             }
+            write_span.rename(|| format!("cache write ({} entries, {written} bytes)", todo.len()));
         }
-
-        // TU summary sizes, recorded for *every* module (not just the
-        // written-back ones) in input order, so the bucket counts are
-        // identical cold or warm. Sizes learned during the probe or the
-        // write-back are reused; only modules nobody rendered (the
-        // cacheless run) pay for a render here, and only when metrics
-        // collection is on.
+        // Entry sizes for *every* module (not just the written-back ones)
+        // in input order, so the `frontend/tu_summary_bytes` buckets and
+        // the snapshot's `summary_bytes` are identical cold or warm.
+        // Sizes learned during the probe or the write-back are reused;
+        // only modules nobody encoded (the cacheless run) pay for an
+        // encode here, and only when metrics collection is on.
+        let entry_len = |i: usize| {
+            byte_lens[i].unwrap_or_else(|| encode_tu_entry(&modules[i], &fingerprint).len() as u64)
+        };
         telemetry.metrics(|m| {
-            for (module, len) in modules.iter().zip(&byte_lens) {
-                let bytes =
-                    len.unwrap_or_else(|| module.to_json(&fingerprint).len() as u64);
-                m.hist_record("frontend/tu_summary_bytes", bytes);
+            for i in 0..modules.len() {
+                m.hist_record("frontend/tu_summary_bytes", entry_len(i));
             }
         });
 
@@ -844,13 +840,7 @@ impl ProjectPipeline {
                 let snap = AnalysisSnapshot {
                     fingerprint: snap_fingerprint.clone(),
                     source_hashes: hashes.clone(),
-                    summary_bytes: modules
-                        .iter()
-                        .zip(&byte_lens)
-                        .map(|(m, len)| {
-                            len.unwrap_or_else(|| m.to_json(&fingerprint).len() as u64)
-                        })
-                        .collect(),
+                    summary_bytes: (0..modules.len()).map(entry_len).collect(),
                     // The module list is dead after this point, so
                     // the snapshot takes it instead of cloning it.
                     modules: std::mem::take(&mut modules),
@@ -995,6 +985,49 @@ public:
             "deterministic counters must not see the cache"
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn entry_codec_roundtrips_and_names_each_rejection() {
+        let (file, source) = &inputs()[1];
+        let unit = parse(source).unwrap();
+        let program = Program::build(&unit).unwrap();
+        let summary = ProgramSummary::build(&program, false, 1);
+        let module = TuModule::extract(
+            &unit,
+            &program,
+            &summary,
+            &SourceMap::new(file.clone(), source.clone()),
+        );
+        let fp = config_fingerprint(Algorithm::Rta);
+        let hash = module.source_hash;
+        let entry = encode_tu_entry(&module, &fp);
+        assert_eq!(decode_tu_entry(&entry, &fp, hash), Ok(module.clone()));
+
+        let mut skewed = entry.clone();
+        skewed[8] ^= 1;
+        assert_eq!(decode_tu_entry(&skewed, &fp, hash), Err("version_skew"));
+        let pta = config_fingerprint(Algorithm::Pta);
+        assert_eq!(
+            decode_tu_entry(&entry, &pta, hash),
+            Err("config_fingerprint")
+        );
+        assert_eq!(decode_tu_entry(&entry, &fp, hash ^ 1), Err("source_hash"));
+        let mut flipped = entry.clone();
+        *flipped.last_mut().unwrap() ^= 1;
+        assert_eq!(decode_tu_entry(&flipped, &fp, hash), Err("corrupt"));
+        assert_eq!(
+            decode_tu_entry(&entry[..entry.len() / 2], &fp, hash),
+            Err("corrupt")
+        );
+        assert_eq!(decode_tu_entry(b"{]", &fp, hash), Err("corrupt"));
+        // A checksum-valid entry whose module fails validation.
+        let mut dangling = module;
+        std::sync::Arc::make_mut(&mut dangling.classes[0])
+            .bases
+            .push(("Ghost".to_string(), false));
+        let crafted = encode_tu_entry(&dangling, &fp);
+        assert_eq!(decode_tu_entry(&crafted, &fp, hash), Err("corrupt"));
     }
 
     #[test]

@@ -1,30 +1,31 @@
 //! The persisted whole-analysis snapshot.
 //!
-//! A cache directory can hold, next to the per-TU `tu-<hash>.json`
+//! A cache directory can hold, next to the per-TU `tu-<hash>.mod`
 //! summary entries, one [`AnalysisSnapshot`] (`analysis.snap`): the
 //! binary modules of every TU, the converged call-graph fixpoint with
 //! its deterministic schedule, and the liveness classification. A warm
-//! run that finds a valid snapshot skips the per-TU JSON probe for
-//! unchanged TUs (decoding their modules straight from the snapshot)
-//! and — when the summary diff proves the fixpoint is unaffected —
-//! replays the stored schedule instead of re-running it, while emitting
-//! a deterministic event/counter/metric stream byte-identical to a cold
-//! run.
+//! run that finds a valid snapshot reads no summary entry for unchanged
+//! TUs (their modules come straight from the snapshot) and — when the
+//! summary diff proves the fixpoint is unaffected — replays the stored
+//! schedule instead of re-running it, while emitting a deterministic
+//! event/counter/metric stream byte-identical to a cold run.
 //!
-//! The file is a versioned envelope: magic, format version, a
-//! whole-payload FNV-1a checksum, then a single length-framed payload
-//! encoded with the [`ddm_hierarchy::binmod`] primitives. Everything in
-//! the envelope is derived deterministically from the analysis inputs,
-//! so two concurrent writers publishing the same analysis produce
-//! byte-identical files and a rename race is unobservable. Publication
-//! is atomic (temp-then-rename, same scheme as the summary cache), and
+//! The file is sealed in the same envelope as the summary entries
+//! (magic, format version, whole-payload checksum; see
+//! `crate::envelope`) around one payload encoded with the
+//! [`ddm_hierarchy::binmod`] primitives. Everything in the file is
+//! derived deterministically from the analysis inputs, so two concurrent
+//! writers publishing the same analysis produce byte-identical files and
+//! a rename race is unobservable. Publication is atomic
+//! (temp-then-rename, shared with the summary entries), and
 //! `DDM_CACHE_FAULT=snap-kill-mid-write` / `snap-kill-pre-rename`
 //! inject crashes into the write path for the torture tests. Any
 //! rejection — bad magic, version skew, checksum mismatch, fingerprint
-//! mismatch, truncation — makes the run fall back to the summary-cache
+//! mismatch, truncation — makes the run fall back to the summary-entry
 //! probe; the snapshot is advisory, never trusted.
 
 use crate::analysis::AnalysisConfig;
+use crate::envelope::{publish, seal, unseal, CacheFile};
 use crate::liveness::{LiveReason, LivenessParts, Origin};
 use crate::project::config_fingerprint;
 use ddm_callgraph::{Algorithm, CallGraphParts, CgRound, CgSchedule};
@@ -35,9 +36,9 @@ use ddm_hierarchy::{
 use ddm_telemetry::{Counters, Histogram};
 use std::path::Path;
 
-/// The snapshot file name inside a cache directory. Deliberately not a
-/// `.json` name: tooling that enumerates `tu-*.json` summary entries
-/// must never confuse the snapshot for one.
+/// The snapshot file name inside a cache directory. Deliberately
+/// outside the `tu-*` pattern, so tooling that enumerates summary
+/// entries never confuses the snapshot for one.
 pub const SNAPSHOT_FILE: &str = "analysis.snap";
 
 /// Bumped whenever the envelope or payload encoding changes shape; a
@@ -47,32 +48,6 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 /// The 8-byte magic at the start of every snapshot file.
 const MAGIC: &[u8; 8] = b"DDMSNAP\0";
-
-/// Payload checksum: FNV-1a folded over little-endian 8-byte words
-/// with the tail zero-padded and the length mixed in last. Detects the
-/// same torn/corrupt writes as byte-wise FNV but reads the payload a
-/// word at a time — the snapshot is rewritten on every incremental
-/// run, so the checksum is on the warm path twice. Part of the
-/// snapshot format (a change here must bump
-/// [`SNAPSHOT_FORMAT_VERSION`]).
-fn snap_checksum(bytes: &[u8]) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        h ^= u64::from_le_bytes(c.try_into().expect("8-byte chunk"));
-        h = h.wrapping_mul(PRIME);
-    }
-    let rem = chunks.remainder();
-    if !rem.is_empty() {
-        let mut tail = [0u8; 8];
-        tail[..rem.len()].copy_from_slice(rem);
-        h ^= u64::from_le_bytes(tail);
-        h = h.wrapping_mul(PRIME);
-    }
-    h ^= bytes.len() as u64;
-    h.wrapping_mul(PRIME)
-}
 
 /// The configuration fingerprint a snapshot is keyed by. Unlike the
 /// per-TU summary fingerprint ([`config_fingerprint`]), the snapshot
@@ -294,7 +269,7 @@ fn get_counters(r: &mut ByteReader) -> Result<Counters, String> {
 
 /// Everything a warm run needs to reproduce a converged analysis
 /// without re-running it: the binary modules of every TU (so unchanged
-/// TUs skip the JSON probe entirely), the display names of the stored
+/// TUs read no summary entry), the display names of the stored
 /// reachable functions (the reuse gate's id-stability witness), the
 /// linked program's shape, the frozen call graph with its deterministic
 /// replay schedule, and the liveness classification with the counters
@@ -310,11 +285,10 @@ pub struct AnalysisSnapshot {
     pub fingerprint: String,
     /// FNV-1a content hash of each TU's source, in input order.
     pub source_hashes: Vec<u64>,
-    /// Rendered JSON size of each TU's summary-cache entry, in input
+    /// Size in bytes of each TU's summary-cache entry file, in input
     /// order. Warm runs report these in hit events and the
-    /// `frontend/tu_summary_bytes` histogram instead of re-rendering
-    /// every unchanged module to JSON just to measure it — that render
-    /// was the single largest cost on the warm path.
+    /// `frontend/tu_summary_bytes` histogram instead of re-encoding
+    /// every unchanged module just to measure it.
     pub summary_bytes: Vec<u64>,
     /// The extracted module of each TU, in input order.
     pub modules: Vec<TuModule>,
@@ -404,13 +378,7 @@ impl AnalysisSnapshot {
         }
         put_counters(&mut w, &self.liveness_counters);
 
-        let payload = w.into_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 20);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
-        out.extend_from_slice(&snap_checksum(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        seal(MAGIC, SNAPSHOT_FORMAT_VERSION, w.bytes())
     }
 
     /// Decodes a complete file image.
@@ -422,22 +390,8 @@ impl AnalysisSnapshot {
     /// or any structural decode failure. Callers treat every error the
     /// same way — recompute.
     pub fn decode(bytes: &[u8]) -> Result<AnalysisSnapshot, String> {
-        if bytes.len() < MAGIC.len() + 12 {
-            return Err("truncated envelope".to_string());
-        }
-        if &bytes[..MAGIC.len()] != MAGIC {
-            return Err("bad magic".to_string());
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != SNAPSHOT_FORMAT_VERSION {
-            return Err("format version mismatch".to_string());
-        }
-        let checksum = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
-        let payload = &bytes[20..];
-        if snap_checksum(payload) != checksum {
-            return Err("payload checksum mismatch".to_string());
-        }
-
+        let payload =
+            unseal(bytes, MAGIC, SNAPSHOT_FORMAT_VERSION).map_err(|e| e.to_string())?;
         let mut r = ByteReader::new(payload);
         let fingerprint = r.get_str()?;
         let n = r.get_len()?;
@@ -576,51 +530,8 @@ impl AnalysisSnapshot {
     /// Best-effort like all cache I/O; a failure just means the next
     /// run recomputes.
     pub fn save(&self, dir: &Path) {
-        let bytes = self.encode();
-        let tmp = dir.join(format!("{SNAPSHOT_FILE}.tmp.{}", std::process::id()));
-        let written = (|| -> std::io::Result<()> {
-            use std::io::Write as _;
-            let mut f = std::fs::File::create(&tmp)?;
-            if snap_fault() == Some(SnapFault::KillMidWrite) {
-                f.write_all(&bytes[..bytes.len() / 2])?;
-                let _ = f.sync_all();
-                std::process::abort();
-            }
-            f.write_all(&bytes)?;
-            Ok(())
-        })();
-        match written {
-            Ok(()) => {
-                if snap_fault() == Some(SnapFault::KillPreRename) {
-                    std::process::abort();
-                }
-                let _ = std::fs::rename(&tmp, dir.join(SNAPSHOT_FILE));
-            }
-            Err(_) => {
-                let _ = std::fs::remove_file(&tmp);
-            }
-        }
+        publish(dir, SNAPSHOT_FILE, &self.encode(), CacheFile::Snapshot);
     }
-}
-
-/// Crash-injection points inside the snapshot write path, selected by
-/// the same `DDM_CACHE_FAULT` environment variable the summary cache
-/// uses (distinct values, so a test can fault either layer alone).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SnapFault {
-    /// Abort after writing half the image to the temp file.
-    KillMidWrite,
-    /// Abort after fully writing the temp file, before the rename.
-    KillPreRename,
-}
-
-fn snap_fault() -> Option<SnapFault> {
-    static FAULT: std::sync::OnceLock<Option<SnapFault>> = std::sync::OnceLock::new();
-    *FAULT.get_or_init(|| match std::env::var("DDM_CACHE_FAULT").as_deref() {
-        Ok("snap-kill-mid-write") => Some(SnapFault::KillMidWrite),
-        Ok("snap-kill-pre-rename") => Some(SnapFault::KillPreRename),
-        _ => None,
-    })
 }
 
 #[cfg(test)]

@@ -11,13 +11,17 @@
 //! *not* stored: the linker re-derives them from the linked hierarchy,
 //! which is exactly what whole-program extraction would have computed.
 //!
-//! Modules serialize to a versioned JSON document (the workspace has no
-//! serde; the codec reuses [`ddm_telemetry::json`]). The envelope
-//! carries a format version, a configuration fingerprint, and the FNV-1a
-//! content hash of the TU source; [`TuModule::from_json`] rejects any
-//! mismatch and validates every symbolic reference against the module's
-//! own records, so a corrupted, truncated, or stale cache entry is
-//! discarded and recomputed rather than trusted.
+//! Modules persist in the compact binary [`binmod`](crate::binmod)
+//! encoding: one per summary cache entry, and a class-deduplicated list
+//! inside the analysis snapshot. The containers that hold them carry the
+//! version, configuration fingerprint, source hash, and checksum; a
+//! decoded cache entry is then checked with [`TuModule::validate`], so a
+//! corrupted, truncated, or stale entry is discarded and recomputed
+//! rather than trusted.
+//!
+//! A JSON codec ([`TuModule::to_json`] / [`TuModule::from_json`]) is
+//! still here, but no product path calls it: only the benchmark's
+//! per-layer pass measures it, and it goes when that pass stops.
 
 use crate::ids::{ClassId, FuncId, MemberRef};
 use crate::model::Program;
@@ -33,8 +37,8 @@ use ddm_telemetry::json::{self, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// Version of the on-disk module format. Bumped on any incompatible
-/// codec change; entries with a different version are invalidated.
+/// Version of the JSON module document. Bumped on any incompatible
+/// change to it; documents with a different version are rejected.
 pub const MODULE_FORMAT_VERSION: i64 = 1;
 
 /// FNV-1a 64-bit hash (the content hash of the cache key and the body
@@ -412,8 +416,9 @@ impl TuModule {
         }
     }
 
-    /// Serializes the module with its envelope (version, configuration
-    /// fingerprint, source hash).
+    /// Serializes the module as a JSON document with its envelope
+    /// (version, configuration fingerprint, source hash). Not used by the
+    /// cache, which stores binmod entries.
     pub fn to_json(&self, fingerprint: &str) -> String {
         Value::Obj(vec![
             ("version".into(), Value::Int(MODULE_FORMAT_VERSION)),

@@ -730,6 +730,18 @@ pub struct SpanGuard<'t> {
     open: Option<OpenSpan<'t>>,
 }
 
+impl SpanGuard<'_> {
+    /// Replaces the span's name before it records, for labels that carry
+    /// totals known only once the measured work is done. Like
+    /// [`Telemetry::span`], the closure runs only when telemetry is
+    /// enabled.
+    pub fn rename(&mut self, name: impl FnOnce() -> String) {
+        if let Some(open) = &mut self.open {
+            open.name = name();
+        }
+    }
+}
+
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(open) = self.open.take() {

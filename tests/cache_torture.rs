@@ -3,7 +3,7 @@
 //! via `DDM_CACHE_FAULT`) and two processes sharing one `--cache-dir`
 //! — in every case ending with output byte-identical to a cacheless
 //! cold run. The atomic temp-then-rename publish protocol guarantees
-//! no reader ever sees a torn `tu-<hash>.json` or `analysis.snap`;
+//! no reader ever sees a torn `tu-<hash>.mod` or `analysis.snap`;
 //! dangling temps are swept on next open *once they are older than the
 //! 60-second age gate* (a younger temp may belong to a live racing
 //! writer and must survive), and a rejected snapshot (torn, version
@@ -95,7 +95,7 @@ fn cache_files(dir: &PathBuf, pred: impl Fn(&str) -> bool) -> Vec<String> {
 
 /// Kill-mid-write: the faulted process aborts halfway through writing
 /// its first cache entry. The half-written bytes must be confined to a
-/// temp file — never a published `tu-<hash>.json` — and the next run
+/// temp file — never a published `tu-<hash>.mod` — and the next run
 /// over the same directory must sweep the temp, recompute, and print
 /// the byte-identical report to a cacheless cold run.
 #[test]
@@ -107,12 +107,12 @@ fn kill_mid_write_leaves_no_torn_entry_and_recovers_to_cold() {
     let faulted = run(Some(&scratch.0), Some("kill-mid-write"));
     assert!(!faulted.status.success(), "fault must abort the process");
 
-    let published = cache_files(&scratch.0, |n| n.ends_with(".json"));
+    let published = cache_files(&scratch.0, |n| n.ends_with(".mod"));
     assert!(
         published.is_empty(),
         "a torn entry was published: {published:?}"
     );
-    let temps = cache_files(&scratch.0, |n| n.contains(".json.tmp."));
+    let temps = cache_files(&scratch.0, |n| n.contains(".mod.tmp."));
     assert!(!temps.is_empty(), "the fault did not fire inside a write");
 
     age_temps(&scratch.0);
@@ -123,7 +123,7 @@ fn kill_mid_write_leaves_no_torn_entry_and_recovers_to_cold() {
         "recovery after kill-mid-write must match the cacheless cold report"
     );
     assert!(
-        cache_files(&scratch.0, |n| n.contains(".json.tmp.")).is_empty(),
+        cache_files(&scratch.0, |n| n.contains(".mod.tmp.")).is_empty(),
         "dangling temp files were not swept on next open"
     );
 }
@@ -140,7 +140,7 @@ fn kill_pre_rename_recovers_byte_identical_to_cold() {
     let faulted = run(Some(&scratch.0), Some("kill-pre-rename"));
     assert!(!faulted.status.success(), "fault must abort the process");
     assert!(
-        cache_files(&scratch.0, |n| n.ends_with(".json")).is_empty(),
+        cache_files(&scratch.0, |n| n.ends_with(".mod")).is_empty(),
         "an entry was published despite aborting before rename"
     );
 
@@ -149,7 +149,7 @@ fn kill_pre_rename_recovers_byte_identical_to_cold() {
     assert!(recovered.status.success(), "{recovered:?}");
     assert_eq!(recovered.stdout, cacheless.stdout);
     assert!(
-        cache_files(&scratch.0, |n| n.contains(".json.tmp.")).is_empty(),
+        cache_files(&scratch.0, |n| n.contains(".mod.tmp.")).is_empty(),
         "dangling temp files were not swept"
     );
 
@@ -222,7 +222,7 @@ fn snapshot_kill_mid_write_falls_back_to_summary_cache() {
         !cache_files(&scratch.0, |n| n.starts_with("analysis.snap.tmp.")).is_empty(),
         "the fault did not fire inside the snapshot write"
     );
-    let summaries = cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".json"));
+    let summaries = cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".mod"));
     assert_eq!(
         summaries.len(),
         multi_fixture().len(),
@@ -334,7 +334,7 @@ fn concurrent_writers_never_publish_a_torn_snapshot() {
 fn stale_temps_from_dead_writers_are_swept_on_open() {
     let scratch = Scratch::new("sweep");
     std::fs::create_dir_all(&scratch.0).expect("mkdir");
-    let stale = scratch.0.join("tu-deadbeefdeadbeef.json.tmp.99999");
+    let stale = scratch.0.join("tu-deadbeefdeadbeef.mod.tmp.99999");
     std::fs::write(&stale, "{half-written").expect("plant stale temp");
     age_temps(&scratch.0);
 
@@ -352,7 +352,7 @@ fn stale_temps_from_dead_writers_are_swept_on_open() {
 fn fresh_temps_from_racing_writers_survive_a_probe() {
     let scratch = Scratch::new("freshtemp");
     std::fs::create_dir_all(&scratch.0).expect("mkdir");
-    let fresh = scratch.0.join("tu-cafecafecafecafe.json.tmp.88888");
+    let fresh = scratch.0.join("tu-cafecafecafecafe.mod.tmp.88888");
     std::fs::write(&fresh, "{mid-write by a live racer").expect("plant fresh temp");
 
     let out = run(Some(&scratch.0), None);
@@ -360,5 +360,64 @@ fn fresh_temps_from_racing_writers_survive_a_probe() {
     assert!(
         fresh.exists(),
         "a racing writer's fresh temp was swept by the probe"
+    );
+}
+
+/// A directory left by a version that wrote JSON summary entries: each
+/// TU has a `tu-<hash>.json` and the snapshot's fingerprint names the
+/// old entry format. The snapshot must be rejected (its recorded entry
+/// sizes measured JSON), the JSON entries must never be read, the
+/// output must match a cacheless run, and the open-time sweep must
+/// leave no `tu-*.json` behind.
+#[test]
+fn legacy_json_entries_are_swept_and_never_read() {
+    use dead_data_members::analysis::AnalysisSnapshot;
+    let cacheless = run(None, None);
+    assert!(cacheless.status.success(), "{cacheless:?}");
+
+    let scratch = Scratch::new("legacy");
+    assert!(run(Some(&scratch.0), None).status.success());
+    let snap_path = scratch.0.join("analysis.snap");
+    let mut snap = AnalysisSnapshot::decode(&std::fs::read(&snap_path).expect("snapshot"))
+        .expect("snapshot decodes");
+    assert!(snap.fingerprint.contains("tu=v2;"), "{}", snap.fingerprint);
+    snap.fingerprint = snap.fingerprint.replace("tu=v2;", "tu=v1;");
+    std::fs::write(&snap_path, snap.encode()).expect("plant legacy snapshot");
+    for entry in cache_files(&scratch.0, |n| n.ends_with(".mod")) {
+        let legacy = entry.replace(".mod", ".json");
+        std::fs::remove_file(scratch.0.join(&entry)).expect("drop binary entry");
+        std::fs::write(
+            scratch.0.join(legacy),
+            "{\"version\":1,\"fingerprint\":\"v1;refine=0\"}",
+        )
+        .expect("plant legacy entry");
+    }
+
+    let log = scratch.0.join("run.ndjson");
+    let mut cmd = ddm();
+    cmd.args(multi_fixture())
+        .arg("--cache-dir")
+        .arg(&scratch.0)
+        .arg("--log-out")
+        .arg(&log)
+        .env_remove("DDM_CACHE_FAULT");
+    let out = cmd.output().expect("run ddm");
+    assert!(out.status.success(), "{out:?}");
+    assert_eq!(out.stdout, cacheless.stdout);
+    assert!(
+        cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".json")).is_empty(),
+        "legacy JSON entries survived the open-time sweep"
+    );
+    let events = std::fs::read_to_string(&log).expect("event log");
+    let count = |needle: &str| events.lines().filter(|l| l.contains(needle)).count();
+    assert_eq!(
+        count("\"event\":\"cache_legacy_swept\""),
+        multi_fixture().len()
+    );
+    assert_eq!(count("\"reason\":\"fingerprint mismatch\""), 1, "{events}");
+    assert_eq!(count("\"event\":\"tu_cache_hit\""), 0, "{events}");
+    assert_eq!(
+        cache_files(&scratch.0, |n| n.starts_with("tu-") && n.ends_with(".mod")).len(),
+        multi_fixture().len()
     );
 }

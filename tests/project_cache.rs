@@ -9,11 +9,12 @@
 //! discarded, recomputed, and overwritten.
 
 use dead_data_members::analysis::{
-    explain, AnalysisConfig, Engine, Liveness, ProjectPipeline, Report,
+    config_fingerprint, decode_tu_entry, encode_tu_entry, explain, AnalysisConfig, Engine,
+    Liveness, ProjectPipeline, Report,
 };
 use dead_data_members::callgraph::{Algorithm, CallGraph};
-use dead_data_members::hierarchy::Program;
-use dead_data_members::telemetry::Telemetry;
+use dead_data_members::hierarchy::{fnv1a64, Program};
+use dead_data_members::telemetry::{EventClass, Telemetry};
 use std::path::{Path, PathBuf};
 
 const HEADER: &str = "\
@@ -211,9 +212,28 @@ fn renamed_file_with_identical_content_still_hits() {
     assert_eq!(tel.stats().tu_cache_hits, 3, "cache keys are content, not paths");
 }
 
-/// Damages every cache entry via `f`, then asserts a warm run detects
-/// the damage, recomputes all TUs, and leaves valid entries behind.
-fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
+/// The `reason` of every `tu_cache_invalidated` event a run recorded.
+fn invalidation_reasons(telemetry: &Telemetry) -> Vec<String> {
+    telemetry
+        .events_ndjson(Some(EventClass::Observational))
+        .lines()
+        .filter(|l| l.contains("\"event\":\"tu_cache_invalidated\""))
+        .map(|l| {
+            let value = dead_data_members::telemetry::json::parse(l).expect("NDJSON line");
+            value.get("reason").and_then(|r| r.as_str()).expect("reason").to_string()
+        })
+        .collect()
+}
+
+/// Replaces every summary cache entry with `damage(entries, i)`, where
+/// `entries` holds every entry's bytes in file-name order, then asserts
+/// that a warm run detects the damage with `reason`, recomputes all
+/// TUs, and leaves valid entries behind.
+fn damaged_entries_are_recovered(
+    test: &str,
+    reason: &str,
+    damage: impl Fn(&[Vec<u8>], usize) -> Vec<u8>,
+) {
     let scratch = Scratch::new(test);
     let inputs = inputs();
     let cold_tel = Telemetry::enabled();
@@ -221,27 +241,29 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
     let cold_art = artifacts(&cold, &cold_tel);
 
     // Damage the per-TU summary entries and drop the analysis snapshot:
-    // this test proves the JSON probe's detect-and-recompute path, which
-    // a surviving snapshot would otherwise short-circuit (snapshot
+    // this test proves the entry probe's detect-and-recompute path,
+    // which a surviving snapshot would otherwise short-circuit (snapshot
     // damage has its own torture tests).
     let _ = std::fs::remove_file(scratch.path().join("analysis.snap"));
-    let entries: Vec<PathBuf> = std::fs::read_dir(scratch.path())
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(scratch.path())
         .unwrap()
         .map(|e| e.unwrap().path())
-        .filter(|p| p.to_string_lossy().ends_with(".json"))
+        .filter(|p| p.to_string_lossy().ends_with(".mod"))
         .collect();
-    assert_eq!(entries.len(), 3);
-    for path in &entries {
-        let doc = std::fs::read_to_string(path).unwrap();
-        std::fs::write(path, f(&doc)).unwrap();
+    paths.sort();
+    assert_eq!(paths.len(), 3);
+    let entries: Vec<Vec<u8>> = paths.iter().map(|p| std::fs::read(p).unwrap()).collect();
+    for (i, path) in paths.iter().enumerate() {
+        std::fs::write(path, damage(&entries, i)).unwrap();
     }
 
-    let warm_tel = Telemetry::enabled();
+    let warm_tel = Telemetry::recording();
     let warm = run(&inputs, 1, Some(scratch.path()), &warm_tel);
     let stats = warm_tel.stats();
     assert_eq!(stats.tu_cache_hits, 0, "damaged entries must not hit");
     assert_eq!(stats.tu_cache_invalidations, 3);
     assert_eq!(stats.tus_summarized, 3, "every TU is recomputed");
+    assert_eq!(invalidation_reasons(&warm_tel), vec![reason; 3]);
     assert_eq!(artifacts(&warm, &warm_tel), cold_art);
 
     // The damaged entries were overwritten with valid ones.
@@ -251,22 +273,69 @@ fn damaged_entries_are_recovered(test: &str, f: impl Fn(&str) -> String) {
     assert_eq!(again_tel.stats().tu_cache_invalidations, 0);
 }
 
+/// Byte offset of the format version in every sealed cache file (after
+/// the 8-byte magic).
+const VERSION_AT: std::ops::Range<usize> = 8..12;
+
 #[test]
 fn corrupted_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("corrupt", |_| "{]".to_string());
+    damaged_entries_are_recovered("corrupt", "corrupt", |_, _| b"{]".to_vec());
 }
 
 #[test]
 fn truncated_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("truncate", |doc| doc[..doc.len() / 2].to_string());
+    damaged_entries_are_recovered("truncate", "corrupt", |entries, i| {
+        entries[i][..entries[i].len() / 2].to_vec()
+    });
 }
 
 #[test]
 fn version_mismatched_cache_entries_are_discarded_and_recomputed() {
-    damaged_entries_are_recovered("version", |doc| {
-        let skewed = doc.replacen("\"version\":1", "\"version\":999", 1);
-        assert_ne!(&skewed, doc, "entry must carry the format version");
+    damaged_entries_are_recovered("version", "version_skew", |entries, i| {
+        let mut skewed = entries[i].clone();
+        let version = u32::from_le_bytes(skewed[VERSION_AT].try_into().unwrap());
+        skewed[VERSION_AT].copy_from_slice(&(version + 1).to_le_bytes());
         skewed
+    });
+}
+
+#[test]
+fn a_flipped_payload_byte_fails_the_checksum() {
+    damaged_entries_are_recovered("checksum", "corrupt", |entries, i| {
+        let mut flipped = entries[i].clone();
+        let mid = flipped.len() / 2;
+        flipped[mid] ^= 0x20;
+        flipped
+    });
+}
+
+#[test]
+fn an_entry_copied_over_another_hash_is_rejected() {
+    // Each entry gets the next one's (intact) bytes.
+    damaged_entries_are_recovered("swapped", "source_hash", |entries, i| {
+        entries[(i + 1) % entries.len()].clone()
+    });
+}
+
+#[test]
+fn a_checksum_valid_entry_with_a_dangling_reference_is_rejected() {
+    // Re-encode each entry through the real codec with a base-class
+    // reference to a class the module does not define: the envelope and
+    // checksum are intact, so only `TuModule::validate` can catch it.
+    let fingerprint = config_fingerprint(Algorithm::Rta);
+    let hashes: Vec<u64> = inputs()
+        .iter()
+        .map(|(_, src)| fnv1a64(src.as_bytes()))
+        .collect();
+    damaged_entries_are_recovered("dangling", "corrupt", |entries, i| {
+        let mut module = hashes
+            .iter()
+            .find_map(|&h| decode_tu_entry(&entries[i], &fingerprint, h).ok())
+            .expect("every entry belongs to an input");
+        std::sync::Arc::make_mut(&mut module.classes[0])
+            .bases
+            .push(("Ghost".to_string(), false));
+        encode_tu_entry(&module, &fingerprint)
     });
 }
 
@@ -283,7 +352,7 @@ fn fingerprint_changes_invalidate_cached_entries() {
 
     // PTA refinement changes what per-TU summaries contain, so its
     // fingerprint must not accept RTA-era entries.
-    let tel = Telemetry::enabled();
+    let tel = Telemetry::recording();
     ProjectPipeline::run(
         &inputs,
         AnalysisConfig::default(),
@@ -296,4 +365,5 @@ fn fingerprint_changes_invalidate_cached_entries() {
     .expect("pta project run");
     assert_eq!(tel.stats().tu_cache_hits, 0);
     assert_eq!(tel.stats().tu_cache_invalidations, 3);
+    assert_eq!(invalidation_reasons(&tel), vec!["config_fingerprint"; 3]);
 }
